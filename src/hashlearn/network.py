@@ -87,12 +87,11 @@ class ForwardTrace:
 
 
 def _sigmoid(z):
-    # split by sign so exp never overflows
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # 0.5 * (1 + tanh(z / 2)): no sign split, and tanh saturates instead of overflowing
+    out = np.multiply(z, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -113,6 +112,37 @@ def activation_deriv(kind, h):
     raise ValueError("unknown activation %r" % (kind,))
 
 
+def through_activation(kind, delta, h):
+    """delta times the activation derivative at output h, in place; linear layers skip it."""
+    if kind != LINEAR:
+        delta *= activation_deriv(kind, h)
+    return delta
+
+
+def split_flat(vec, layer_sizes):
+    """Weight and bias blocks as views into a flat vector laid out W1, c1, W2, c2, ..."""
+    weights, biases, pos = [], [], 0
+    for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
+        weights.append(vec[pos:pos + n_out * n_in].reshape(n_out, n_in))
+        pos += n_out * n_in
+        biases.append(vec[pos:pos + n_out])
+        pos += n_out
+    return weights, biases
+
+
+def _forward(params, x, upto):
+    """forward() without any checks; for callers that validated once up front."""
+    trace = ForwardTrace(H=[x], Z=[])
+    h = x
+    for i in range(upto - 1):
+        z = params.weights[i] @ h
+        z += params.biases[i][:, None]
+        h = activate(params.activations[i], z)
+        trace.Z.append(z)
+        trace.H.append(h)
+    return trace
+
+
 def forward(params, x, upto=None):
     """Run the network on (D, m) input up to the given 1-based layer index.
 
@@ -128,16 +158,20 @@ def forward(params, x, upto=None):
         raise ValueError("upto=%d out of range for %d layers" % (upto, n))
     if x.ndim != 2 or x.shape[0] != params.layer_sizes[0]:
         raise ValueError("input has shape %s, expected (%d, m)" % (x.shape, params.layer_sizes[0]))
-    trace = ForwardTrace(H=[x], Z=[])
-    h = x
-    for i in range(upto - 1):
-        z = params.weights[i] @ h + params.biases[i][:, None]
-        h = activate(params.activations[i], z)
+    trace = _forward(params, x, upto)
+    for i, h in enumerate(trace.H[1:]):
         if not np.all(np.isfinite(h)):
             raise ValueError("non-finite activations at layer %d" % (i + 2))
-        trace.Z.append(z)
-        trace.H.append(h)
     return trace
+
+
+def check_finite(name, a):
+    """Reject NaN/Inf, naming the argument and the first bad (row, column)."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
+        where = "(row %d, column %d)" % idx if len(idx) == 2 else "index %s" % (idx,)
+        raise ValueError("%s has non-finite value %r at %s" % (name, float(a[idx]), where))
 
 
 def sgn(a):

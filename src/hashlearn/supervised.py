@@ -10,31 +10,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from hashlearn.linalg import frobenius_sq
-from hashlearn.network import activation_deriv, forward, sgn
-from hashlearn.unsupervised import GradientSet, _backprop, _check_codes, _code_layer_penalties, _code_layer_pull, _weight_decay
+from hashlearn.network import _forward, sgn, split_flat, through_activation
+from hashlearn.unsupervised import (GradientSet, UnsupHyper, _backprop, _check_objective_inputs, _code_layer_terms,
+                                    _weight_decay)
 
 
 @dataclass(frozen=True)
-class SupHyper:
-    """Penalty weights plus code length, training subset size, and per-class count."""
+class SupHyper(UnsupHyper):
+    """The shared penalty weights and sizes, plus the per-class count of the training subset."""
 
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    lambda4: float
-    code_len: int
-    n_samples: int
     n_per_class: int = 0
-
-    def validate(self):
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError("%s must be finite and >= 0, got %r" % (name, v))
-        if self.code_len < 1:
-            raise ValueError("code_len must be >= 1")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -86,23 +71,33 @@ def _check_similarity(s, m):
     return s
 
 
-def loss(params, x, b, s, hyper):
-    """Pairwise objective at fixed codes b and similarity s."""
-    hyper.validate()
-    x = np.asarray(x, dtype=np.float64)
+def check_inputs(params, x, b, s, hyper):
+    """Validate everything value_and_grad takes on trust; returns x, b and s as float arrays."""
+    x, b = _check_objective_inputs(params, x, b, hyper, -1)
+    return x, b, _check_similarity(s, hyper.n_samples)
+
+
+def value_and_grad(params, x, b, s, hyper):
+    """Pairwise objective and its flat gradient (laid out as network.split_flat)
+    in one forward pass.  Nothing is validated: check_inputs() once per phase first."""
     m = hyper.n_samples
-    if x.shape[1] != m:
-        raise ValueError("x has %d columns, expected %d" % (x.shape[1], m))
-    if params.layer_sizes[-1] != hyper.code_len:
-        raise ValueError("code layer has width %d, expected %d" % (params.layer_sizes[-1], hyper.code_len))
-    b = _check_codes(b, hyper.code_len, m)
-    s = _check_similarity(s, m)
-    trace = forward(params, x)
+    n = params.n_layers
+    trace = _forward(params, x, n)
     h = trace.H[-1]
     fit = h.T @ h / hyper.code_len - s
+    j_code, pull = _code_layer_terms(h, b, hyper)
     j = frobenius_sq(fit) / (2.0 * m)
     j += _weight_decay(params, hyper)
-    j += _code_layer_penalties(h, b, hyper)
+    j += j_code
+    # d/dH of the pairwise term, written exactly as the symmetrized product
+    pull += (1.0 / (m * hyper.code_len)) * (h @ (fit + fit.T))
+    delta = through_activation(params.activations[n - 2], pull, h)
+    return j, _backprop(params, trace, delta, n - 2, hyper.lambda1)[0]
+
+
+def loss(params, x, b, s, hyper):
+    """Pairwise objective at fixed codes b and similarity s."""
+    j = value_and_grad(params, *check_inputs(params, x, b, s, hyper), hyper)[0]
     if not np.isfinite(j):
         raise ValueError("objective is non-finite")
     return j
@@ -110,27 +105,8 @@ def loss(params, x, b, s, hyper):
 
 def grad(params, x, b, s, hyper):
     """Gradient of loss() for every weight and bias block."""
-    hyper.validate()
-    x = np.asarray(x, dtype=np.float64)
-    m = hyper.n_samples
-    if x.shape[1] != m:
-        raise ValueError("x has %d columns, expected %d" % (x.shape[1], m))
-    if params.layer_sizes[-1] != hyper.code_len:
-        raise ValueError("code layer has width %d, expected %d" % (params.layer_sizes[-1], hyper.code_len))
-    b = _check_codes(b, hyper.code_len, m)
-    s = _check_similarity(s, m)
-    n = params.n_layers
-    trace = forward(params, x)
-    h = trace.H[-1]
-    fit = h.T @ h / hyper.code_len - s
-    # d/dH of the pairwise term, written exactly as the symmetrized product
-    pull = (1.0 / (m * hyper.code_len)) * (h @ (fit + fit.T))
-    pull += _code_layer_pull(h, b, hyper)
-    delta = pull * activation_deriv(params.activations[n - 2], h)
-    d_w, d_c = _backprop(params, trace, delta, n - 2)
-    for i in range(n - 1):
-        d_w[i] = d_w[i] + hyper.lambda1 * params.weights[i]
-    return GradientSet(d_w, d_c)
+    g = value_and_grad(params, *check_inputs(params, x, b, s, hyper), hyper)[1]
+    return GradientSet(*split_flat(g, params.layer_sizes))
 
 
 def b_step(h_code):

@@ -15,7 +15,8 @@ from hashlearn import supervised, unsupervised
 from hashlearn.evaluation import BinaryCodes
 from hashlearn.initialization import init_network, itq_init
 from hashlearn.lbfgs import FlatParams, LbfgsConfig, minimize
-from hashlearn.network import MODES, SUPERVISED, UNSUPERVISED, NetworkParams, forward, sgn
+from hashlearn.network import (MODES, SUPERVISED, UNSUPERVISED, NetworkParams, check_finite, forward, sgn,
+                               split_flat)
 
 UNSUP_LAMBDAS = (1e-5, 5e-2, 1e-2, 1e-6)
 SUP_LAMBDAS = (1e-3, 5.0, 1.0, 1e-4)
@@ -141,33 +142,20 @@ def _flatten(params):
     return FlatParams.from_blocks(blocks)
 
 
-def _rebuild(vec, layout, template):
-    out = template.copy()
-    blocks = FlatParams(vec, layout).to_blocks()
-    for i in range(len(out.weights)):
-        out.weights[i] = blocks[2 * i][1]
-        out.biases[i] = blocks[2 * i + 1][1]
-    return out
+def _rebuild(vec, template):
+    """Parameters whose blocks are views into the flat vector (no copy)."""
+    weights, biases = split_flat(vec, template.layer_sizes)
+    return NetworkParams(template.layer_sizes, weights, biases, template.activations, template.mode)
 
 
-def _grad_vector(grads):
-    parts = []
-    for dw, dc in zip(grads.d_weights, grads.d_biases):
-        parts.append(dw.ravel())
-        parts.append(dc.ravel())
-    return np.concatenate(parts)
-
-
-def _make_objective(template, layout, loss_fn, grad_fn):
+def _make_objective(template, value_and_grad):
     def fun(vec):
-        p = _rebuild(vec, layout, template)
-        try:
-            j = loss_fn(p)
-            g = grad_fn(p)
-        except ValueError:
-            # overflow during a trial step; report +inf so the line search backs off
+        with np.errstate(over="ignore", invalid="ignore"):
+            j, g = value_and_grad(_rebuild(vec, template))
+        if not np.isfinite(j):
+            # a trial step overflowed; report +inf so the line search backs off
             return np.inf, np.zeros_like(vec)
-        return j, _grad_vector(g)
+        return j, g
     return fun
 
 
@@ -190,17 +178,16 @@ def _fold_mean_into_bias(params, mu):
     return out
 
 
-def _alternate(b0, params, config, loss_fn_of, grad_fn_of, update_codes):
+def _alternate(b0, params, config, objective_of, update_codes):
     """Shared alternation: initial continuous fit, then code/parameter alternation.
 
-    loss_fn_of(b) and grad_fn_of(b) bind the current codes into the objective;
+    objective_of(params, b) validates the parameters, data and current codes
+    once, then binds them into an unchecked value-and-gradient function;
     update_codes(params, b) produces the next code matrix.
     """
-    layout = _flatten(params).layout
     b = b0
-    fun = _make_objective(params, layout, loss_fn_of(b), grad_fn_of(b))
-    res = minimize(fun, _flatten(params), config.lbfgs_initial)
-    params = _rebuild(res.x.values, layout, params)
+    res = minimize(_make_objective(params, objective_of(params, b)), _flatten(params), config.lbfgs_initial)
+    params = _rebuild(res.x.values, params)
     loss_trace = [res.history[-1]]
     wc_histories = [list(res.history)]
     b_step_losses = []
@@ -208,10 +195,11 @@ def _alternate(b0, params, config, loss_fn_of, grad_fn_of, update_codes):
     aborted = False
     for _t in range(1, config.max_iter + 1):
         b = update_codes(params, b)
-        b_step_losses.append(loss_fn_of(b)(params))
-        fun = _make_objective(params, layout, loss_fn_of(b), grad_fn_of(b))
-        res = minimize(fun, _flatten(params), config.lbfgs_subsequent)
-        params = _rebuild(res.x.values, layout, params)
+        x0 = _flatten(params)
+        fun = _make_objective(params, objective_of(params, b))
+        b_step_losses.append(fun(x0.values)[0])
+        res = minimize(fun, x0, config.lbfgs_subsequent)
+        params = _rebuild(res.x.values, params)
         j = res.history[-1]
         loss_trace.append(j)
         wc_histories.append(list(res.history))
@@ -233,6 +221,7 @@ def train_unsupervised(x, config):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != config.layer_sizes[0]:
         raise ValueError("data has shape %s, expected (%d, m)" % (x.shape, config.layer_sizes[0]))
+    check_finite("x", x)
     mu = None
     xt = x
     if config.center_inputs:
@@ -241,23 +230,20 @@ def train_unsupervised(x, config):
     m = xt.shape[1]
     hyper = unsupervised.UnsupHyper(config.lambda1, config.lambda2, config.lambda3,
                                     config.lambda4, config.code_len, m)
-    hyper.validate()
     b0 = itq_init(xt, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
     params = init_network(xt, config.layer_sizes, UNSUPERVISED, config.activations)
     n = params.n_layers
 
-    def loss_fn_of(b):
-        return lambda p: unsupervised.loss(p, xt, b, hyper)
-
-    def grad_fn_of(b):
-        return lambda p: unsupervised.grad(p, xt, b, hyper)
+    def objective_of(p, b):
+        unsupervised.check_inputs(p, xt, b, hyper)
+        return lambda q: unsupervised.value_and_grad(q, xt, b, hyper)
 
     def update_codes(p, b):
         h_code = forward(p, xt, upto=n - 1).H[-1]
         return unsupervised.b_step(p, xt, h_code, b, hyper, config.dcc_max_sweeps)
 
     params, b, trace, status, b_losses, wc_hist = _alternate(
-        b0, params, config, loss_fn_of, grad_fn_of, update_codes)
+        b0, params, config, objective_of, update_codes)
     if mu is not None:
         params = _fold_mean_into_bias(params, mu)
     return TrainResult(params, BinaryCodes.from_sign_matrix(b), trace, status, b_losses, wc_hist)
@@ -274,6 +260,7 @@ def train_supervised(x, labels, config):
         raise ValueError("data has shape %s, expected (%d, m)" % (x.shape, config.layer_sizes[0]))
     if labels.shape != (x.shape[1],):
         raise ValueError("labels have shape %s, expected (%d,)" % (labels.shape, x.shape[1]))
+    check_finite("x", x)
     pair = supervised.build_pairwise(labels, config.n_per_class,
                                      derive_seed(config.seed, "subset-selection"))
     xs = x[:, pair.sample_indices]
@@ -284,24 +271,21 @@ def train_supervised(x, labels, config):
     m = xs.shape[1]
     hyper = supervised.SupHyper(config.lambda1, config.lambda2, config.lambda3,
                                 config.lambda4, config.code_len, m, config.n_per_class)
-    hyper.validate()
     s = pair.matrix
     b0 = itq_init(xs, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
     params = init_network(xs, config.layer_sizes, SUPERVISED, config.activations)
     n = params.n_layers
 
-    def loss_fn_of(b):
-        return lambda p: supervised.loss(p, xs, b, s, hyper)
-
-    def grad_fn_of(b):
-        return lambda p: supervised.grad(p, xs, b, s, hyper)
+    def objective_of(p, b):
+        supervised.check_inputs(p, xs, b, s, hyper)
+        return lambda q: supervised.value_and_grad(q, xs, b, s, hyper)
 
     def update_codes(p, b):
         h_code = forward(p, xs, upto=n).H[-1]
         return supervised.b_step(h_code)
 
     params, b, trace, status, b_losses, wc_hist = _alternate(
-        b0, params, config, loss_fn_of, grad_fn_of, update_codes)
+        b0, params, config, objective_of, update_codes)
     if mu is not None:
         params = _fold_mean_into_bias(params, mu)
     return TrainResult(params, BinaryCodes.from_sign_matrix(b), trace, status, b_losses, wc_hist,
@@ -315,6 +299,7 @@ def encode(params, x_new, mode=None):
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
     x_new = np.asarray(x_new, dtype=np.float64)
+    check_finite("x_new", x_new)
     n = params.n_layers
     upto = n - 1 if mode == UNSUPERVISED else n
     trace = forward(params, x_new, upto=upto)

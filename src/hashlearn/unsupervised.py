@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hashlearn.linalg import frobenius_sq
-from hashlearn.network import activation_deriv, forward
+from hashlearn.network import _forward, split_flat, through_activation
 
 
 @dataclass(frozen=True)
@@ -54,94 +54,97 @@ def _check_codes(b, code_len, n_samples):
     return b
 
 
-def _code_layer_pull(h, b, hyper):
-    """Shared penalty gradient at the code layer: quantization, decorrelation, balance."""
+def _check_objective_inputs(params, x, b, hyper, code_layer):
+    """The checks value_and_grad skips, shared by both modes; returns x and b as float arrays."""
+    hyper.validate()
+    params.validate()
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (params.layer_sizes[0], hyper.n_samples):
+        raise ValueError("x has shape %s, expected (%d, %d)" % (x.shape, params.layer_sizes[0], hyper.n_samples))
+    if params.layer_sizes[code_layer] != hyper.code_len:
+        raise ValueError("code layer has width %d, expected %d" % (params.layer_sizes[code_layer], hyper.code_len))
+    return x, _check_codes(b, hyper.code_len, hyper.n_samples)
+
+
+def check_inputs(params, x, b, hyper):
+    """Validate everything value_and_grad takes on trust; returns x and b as float arrays."""
+    if params.n_layers < 3:
+        raise ValueError("unsupervised networks need at least 3 layers")
+    return _check_objective_inputs(params, x, b, hyper, -2)
+
+
+def _code_layer_terms(h, b, hyper):
+    """Quantization, decorrelation and balance penalties at the code layer, and their gradient in h."""
     m = hyper.n_samples
-    g = (hyper.lambda2 / m) * (h - b)
     corr = h @ h.T / m - np.eye(h.shape[0])
-    g += (2.0 * hyper.lambda3 / m) * (corr @ h)
-    g += (hyper.lambda4 / m) * h.sum(axis=1)[:, None]
-    return g
-
-
-def _code_layer_penalties(h, b, hyper):
-    m = hyper.n_samples
+    rowsums = h.sum(axis=1)
     j = (hyper.lambda2 / (2.0 * m)) * frobenius_sq(h - b)
-    j += (hyper.lambda3 / 2.0) * frobenius_sq(h @ h.T / m - np.eye(h.shape[0]))
-    j += (hyper.lambda4 / (2.0 * m)) * float(np.sum(h.sum(axis=1) ** 2))
-    return j
+    j += (hyper.lambda3 / 2.0) * frobenius_sq(corr)
+    j += (hyper.lambda4 / (2.0 * m)) * float(np.sum(rowsums ** 2))
+    g = (hyper.lambda2 / m) * (h - b)
+    g += (2.0 * hyper.lambda3 / m) * (corr @ h)
+    g += (hyper.lambda4 / m) * rowsums[:, None]
+    return j, g
 
 
 def _weight_decay(params, hyper):
     return (hyper.lambda1 / 2.0) * sum(frobenius_sq(w) for w in params.weights)
 
 
-def loss(params, x, b, hyper):
-    """Full objective at the given parameters and fixed codes."""
-    hyper.validate()
-    x = np.asarray(x, dtype=np.float64)
+def _backprop(params, trace, delta, top, lambda1):
+    """Flat gradient (laid out as network.split_flat) of weight blocks 0..top,
+    weight decay included, from delta: the gradient at layer top+2's
+    activations, already through the activation derivative.  Returns the
+    vector and its weight and bias views; blocks above top are left unset."""
+    g = np.empty(sum(w.size + c.size for w, c in zip(params.weights, params.biases)))
+    d_w, d_c = split_flat(g, params.layer_sizes)
+    for i in range(top, -1, -1):
+        np.matmul(delta, trace.H[i].T, out=d_w[i])
+        d_w[i] += lambda1 * params.weights[i]
+        np.sum(delta, axis=1, out=d_c[i])
+        if i > 0:
+            delta = through_activation(params.activations[i - 1], params.weights[i].T @ delta, trace.H[i])
+    return g, d_w, d_c
+
+
+def value_and_grad(params, x, b, hyper):
+    """Objective and its flat gradient (laid out as network.split_flat) in one
+    forward pass.  Nothing is validated: check_inputs() once per phase first."""
     m = hyper.n_samples
-    if x.shape[1] != m:
-        raise ValueError("x has %d columns, expected %d" % (x.shape[1], m))
-    b = _check_codes(b, hyper.code_len, m)
     n = params.n_layers
-    if params.layer_sizes[-2] != hyper.code_len:
-        raise ValueError("code layer has width %d, expected %d" % (params.layer_sizes[-2], hyper.code_len))
-    trace = forward(params, x, upto=n - 1)
+    trace = _forward(params, x, n - 1)
     h = trace.H[-1]
     w_dec = params.weights[-1]
-    c_dec = params.biases[-1]
-    resid = x - w_dec @ b - c_dec[:, None]
+    resid = np.subtract(x, w_dec @ b)
+    resid -= params.biases[-1][:, None]
+    j_code, pull = _code_layer_terms(h, b, hyper)
     j = frobenius_sq(resid) / (2.0 * m)
     j += _weight_decay(params, hyper)
-    j += _code_layer_penalties(h, b, hyper)
+    j += j_code
+
+    # pull at the code layer (layer n-1), through its activation derivative
+    delta = through_activation(params.activations[n - 3], pull, h)
+    g, d_w, d_c = _backprop(params, trace, delta, n - 3, hyper.lambda1)
+    np.matmul(resid, b.T, out=d_w[-1])
+    d_w[-1] *= -1.0 / m
+    d_w[-1] += hyper.lambda1 * w_dec
+    np.sum(resid, axis=1, out=d_c[-1])
+    d_c[-1] *= -1.0 / m
+    return j, g
+
+
+def loss(params, x, b, hyper):
+    """Full objective at the given parameters and fixed codes."""
+    j = value_and_grad(params, *check_inputs(params, x, b, hyper), hyper)[0]
     if not np.isfinite(j):
         raise ValueError("objective is non-finite")
     return j
 
 
-def _backprop(params, trace, delta, top):
-    """Propagate delta (gradient at layer top+2's activations, already through
-    the activation derivative) down to weight block 0."""
-    d_w = [None] * (top + 1)
-    d_c = [None] * (top + 1)
-    for i in range(top, -1, -1):
-        d_w[i] = delta @ trace.H[i].T
-        d_c[i] = delta.sum(axis=1)
-        if i > 0:
-            deriv = activation_deriv(params.activations[i - 1], trace.H[i])
-            delta = (params.weights[i].T @ delta) * deriv
-    return d_w, d_c
-
-
 def grad(params, x, b, hyper):
     """Gradient of loss() with respect to every weight and bias block."""
-    hyper.validate()
-    x = np.asarray(x, dtype=np.float64)
-    m = hyper.n_samples
-    b = _check_codes(b, hyper.code_len, m)
-    n = params.n_layers
-    if n < 3:
-        raise ValueError("unsupervised networks need at least 3 layers")
-    if params.layer_sizes[-2] != hyper.code_len:
-        raise ValueError("code layer has width %d, expected %d" % (params.layer_sizes[-2], hyper.code_len))
-    trace = forward(params, x, upto=n - 1)
-    h = trace.H[-1]
-    w_dec = params.weights[-1]
-    c_dec = params.biases[-1]
-    resid = x - w_dec @ b - c_dec[:, None]
-
-    d_w_dec = (-1.0 / m) * (resid @ b.T) + hyper.lambda1 * w_dec
-    d_c_dec = (-1.0 / m) * resid.sum(axis=1)
-
-    # pull at the code layer (layer n-1), through its activation derivative
-    delta = _code_layer_pull(h, b, hyper) * activation_deriv(params.activations[n - 3], h)
-    d_w, d_c = _backprop(params, trace, delta, n - 3)
-    for i in range(n - 2):
-        d_w[i] = d_w[i] + hyper.lambda1 * params.weights[i]
-    d_w.append(d_w_dec)
-    d_c.append(d_c_dec)
-    return GradientSet(d_w, d_c)
+    g = value_and_grad(params, *check_inputs(params, x, b, hyper), hyper)[1]
+    return GradientSet(*split_flat(g, params.layer_sizes))
 
 
 def b_step(params, x, h_code, b_init, hyper, max_sweeps=10, objective_trace=None):

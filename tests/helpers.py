@@ -159,3 +159,108 @@ def brute_force_precision(db_signs, query_sign, gt_indices, radius):
         return 0.0
     gt = set(int(v) for v in gt_indices)
     return len([i for i in retrieved if i in gt]) / len(retrieved)
+
+
+# Oracles for the fused objectives: the two-pass loss()/grad() bodies and the
+# split-exp sigmoid that value_and_grad() and the tanh sigmoid replaced.
+
+def split_exp_sigmoid(z):
+    """Sigmoid split by sign so exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _two_pass_forward(params, x, upto):
+    hs = [x]
+    for i in range(upto - 1):
+        z = params.weights[i] @ hs[-1] + params.biases[i][:, None]
+        hs.append(split_exp_sigmoid(z) if params.activations[i] == SIGMOID else z)
+    return hs
+
+
+def _deriv(kind, h):
+    return h * (1.0 - h) if kind == SIGMOID else np.ones_like(h)
+
+
+def _fro(a):
+    return float(np.sum(a * a))
+
+
+def _code_penalties(h, b, lam2, lam3, lam4):
+    m = h.shape[1]
+    j = (lam2 / (2.0 * m)) * _fro(h - b)
+    j += (lam3 / 2.0) * _fro(h @ h.T / m - np.eye(h.shape[0]))
+    j += (lam4 / (2.0 * m)) * float(np.sum(h.sum(axis=1) ** 2))
+    return j
+
+
+def _code_pull(h, b, lam2, lam3, lam4):
+    m = h.shape[1]
+    g = (lam2 / m) * (h - b)
+    g += (2.0 * lam3 / m) * ((h @ h.T / m - np.eye(h.shape[0])) @ h)
+    g += (lam4 / m) * h.sum(axis=1)[:, None]
+    return g
+
+
+def _two_pass_backprop(params, hs, delta, top, lam1):
+    """Flat gradient W1, c1, ... of blocks 0..top."""
+    d_w = [None] * (top + 1)
+    d_c = [None] * (top + 1)
+    for i in range(top, -1, -1):
+        d_w[i] = delta @ hs[i].T + lam1 * params.weights[i]
+        d_c[i] = delta.sum(axis=1)
+        if i > 0:
+            delta = (params.weights[i].T @ delta) * _deriv(params.activations[i - 1], hs[i])
+    return [a for pair in zip(d_w, d_c) for a in pair]
+
+
+def two_pass_unsup_loss(params, x, b, lam1, lam2, lam3, lam4):
+    """Reconstruction objective, computed on its own forward pass."""
+    m = x.shape[1]
+    h = _two_pass_forward(params, x, params.n_layers - 1)[-1]
+    resid = x - params.weights[-1] @ b - params.biases[-1][:, None]
+    j = _fro(resid) / (2.0 * m)
+    j += (lam1 / 2.0) * sum(_fro(w) for w in params.weights)
+    return j + _code_penalties(h, b, lam2, lam3, lam4)
+
+
+def two_pass_unsup_grad(params, x, b, lam1, lam2, lam3, lam4):
+    """Flat gradient of two_pass_unsup_loss, computed on a second forward pass."""
+    m = x.shape[1]
+    n = params.n_layers
+    hs = _two_pass_forward(params, x, n - 1)
+    h = hs[-1]
+    w_dec = params.weights[-1]
+    resid = x - w_dec @ b - params.biases[-1][:, None]
+    delta = _code_pull(h, b, lam2, lam3, lam4) * _deriv(params.activations[n - 3], h)
+    blocks = _two_pass_backprop(params, hs, delta, n - 3, lam1)
+    blocks += [(-1.0 / m) * (resid @ b.T) + lam1 * w_dec, (-1.0 / m) * resid.sum(axis=1)]
+    return np.concatenate([a.ravel() for a in blocks])
+
+
+def two_pass_sup_loss(params, x, b, s, lam1, lam2, lam3, lam4):
+    """Pairwise-label objective, computed on its own forward pass."""
+    m = x.shape[1]
+    h = _two_pass_forward(params, x, params.n_layers)[-1]
+    code_len = h.shape[0]
+    j = _fro(h.T @ h / code_len - s) / (2.0 * m)
+    j += (lam1 / 2.0) * sum(_fro(w) for w in params.weights)
+    return j + _code_penalties(h, b, lam2, lam3, lam4)
+
+
+def two_pass_sup_grad(params, x, b, s, lam1, lam2, lam3, lam4):
+    """Flat gradient of two_pass_sup_loss, computed on a second forward pass."""
+    m = x.shape[1]
+    n = params.n_layers
+    hs = _two_pass_forward(params, x, n)
+    h = hs[-1]
+    code_len = h.shape[0]
+    fit = h.T @ h / code_len - s
+    pull = (1.0 / (m * code_len)) * (h @ (fit + fit.T))
+    pull += _code_pull(h, b, lam2, lam3, lam4)
+    delta = pull * _deriv(params.activations[n - 2], h)
+    return np.concatenate([a.ravel() for a in _two_pass_backprop(params, hs, delta, n - 2, lam1)])

@@ -1,13 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import hashlearn.unsupervised as unsup
 from hashlearn.evaluation import BinaryCodes
-from hashlearn.lbfgs import LbfgsConfig
-from hashlearn.network import SUPERVISED, UNSUPERVISED, forward, sgn
+from hashlearn.lbfgs import LbfgsConfig, minimize
+from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, forward, sgn
 from hashlearn.toydata import gaussian_clusters
-from hashlearn.trainer import (SUP_LAMBDAS, UNSUP_LAMBDAS, TrainConfig, _final_status,
-                               _should_abort, default_layer_sizes, derive_seed, encode,
+from hashlearn.trainer import (SUP_LAMBDAS, UNSUP_LAMBDAS, TrainConfig, _final_status, _flatten,
+                               _make_objective, _should_abort, default_layer_sizes, derive_seed, encode,
                                train_supervised, train_unsupervised)
+
+from helpers import random_params
 
 REL_TOL = 1e-7   # outer-loop monotonicity tolerance, relative
 
@@ -233,3 +238,84 @@ def test_abort_and_status_helpers():
     assert _final_status([5.0, 5.0]) == "converged"
     assert _final_status([5.0, 4.0]) == "budget-exhausted"
     assert _final_status([3.0]) == "budget-exhausted"
+
+
+def test_objective_errors_propagate_instead_of_backing_off(monkeypatch):
+    # a bug inside the objective must surface, not turn into a step-size cut
+    x, _ = gaussian_clusters(8, 80, 3, seed=11)
+    real = unsup.value_and_grad
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 5:
+            raise ValueError("injected objective failure")
+        return real(*args)
+
+    monkeypatch.setattr(unsup, "value_and_grad", failing)
+    with pytest.raises(ValueError, match="injected objective failure"):
+        train_unsupervised(x, small_unsup_config(8, 4))
+    assert len(calls) == 5
+
+
+def test_overflowing_trial_step_backs_off():
+    # sum(cosh(v)) from v = 8: the first full step lands near -1480, where cosh
+    # overflows; the line search must halve its way back to a finite decrease
+    params = random_params([2, 2, 2, 2], [SIGMOID, LINEAR, LINEAR], UNSUPERVISED, np.random.default_rng(0))
+    params.weights = [np.full_like(w, 8.0) for w in params.weights]
+    params.biases = [np.full_like(c, 8.0) for c in params.biases]
+    values = []
+
+    def cosh_objective(p):
+        blocks = [a for pair in zip(p.weights, p.biases) for a in pair]
+        j = float(sum(np.sum(np.cosh(a)) for a in blocks))
+        values.append(j)
+        return j, np.concatenate([np.sinh(a).ravel() for a in blocks])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize(_make_objective(params, cosh_objective), _flatten(params), LbfgsConfig(max_iters=10))
+    assert not np.isfinite(values[1])
+    assert len(res.history) > 1
+    assert np.all(np.isfinite(res.history))
+    assert np.all(np.diff(res.history) <= 0)
+    assert res.history[-1] < res.history[0]
+
+
+def test_overflowing_objective_maps_to_infinity_quietly():
+    params = random_params([3, 2, 2, 3], [SIGMOID, LINEAR, LINEAR], UNSUPERVISED, np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal((3, 4))
+    b = np.ones((2, 4))
+    hyper = unsup.UnsupHyper(*UNSUP_LAMBDAS, code_len=2, n_samples=4)
+    fun = _make_objective(params, lambda p: unsup.value_and_grad(p, x, b, hyper))
+    vec = _flatten(params).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j, g = fun(vec * 1e120)
+    assert j == np.inf and np.array_equal(g, np.zeros_like(vec))
+    assert np.isfinite(fun(vec)[0])
+
+
+def test_train_unsupervised_rejects_nonfinite_input():
+    x, _ = gaussian_clusters(6, 40, 2, seed=12)
+    x[3, 17] = np.nan
+    with pytest.raises(ValueError, match=r"x has non-finite value nan at \(row 3, column 17\)"):
+        train_unsupervised(x, small_unsup_config(6, 4))
+
+
+def test_train_supervised_rejects_nonfinite_input():
+    x, labels = gaussian_clusters(6, 40, 2, seed=13)
+    x[0, 5] = -np.inf
+    with pytest.raises(ValueError, match=r"x has non-finite value -inf at \(row 0, column 5\)"):
+        train_supervised(x, labels, small_sup_config(6, 4, n_per_class=10))
+
+
+def test_encode_rejects_nonfinite_input():
+    x, _ = gaussian_clusters(6, 40, 2, seed=14)
+    cfg = small_unsup_config(6, 4)
+    cfg.max_iter = 1
+    res = train_unsupervised(x, cfg)
+    x_new = x[:, :5].copy()
+    x_new[2, 4] = np.inf
+    with pytest.raises(ValueError, match=r"x_new has non-finite value inf at \(row 2, column 4\)"):
+        encode(res.params, x_new)
