@@ -76,6 +76,14 @@ class _Reader:
                              % (self.path, len(self.data) - self.pos))
 
 
+def _reject_nonfinite(path, what, arr):
+    """Name the first NaN/Inf entry of a (records, columns) array."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError("%s: %s %d column %d is %r, expected a finite number" % (path, what, r, c, float(arr[r, c])))
+
+
 def _read_file(path):
     with open(path, "rb") as f:
         return f.read()
@@ -131,6 +139,7 @@ def load_xvecs(path, element="float32"):
         bad = int(np.flatnonzero(dims != d)[0])
         raise ValueError("%s: record %d has dimension %d, expected %d" % (path, bad, dims[bad], d))
     body = raw[:, 4:].copy().view(dtype)
+    _reject_nonfinite(path, "record", body)
     return Dataset(body.astype(np.float64).T)
 
 
@@ -162,11 +171,18 @@ def load_csv(path, labels=False, header=None):
         except ValueError as e:
             raise ValueError("%s: row %d: %s" % (path, i, e)) from None
     arr = np.array(rows, dtype=np.float64).reshape(len(rows), n_cols)
-    if labels:
-        if n_cols < 2:
-            raise ValueError("%s: need at least 2 columns when the last is labels" % path)
-        return Dataset(arr[:, :-1].T.copy(), arr[:, -1].astype(np.int64))
-    return Dataset(arr.T.copy())
+    if not labels:
+        _reject_nonfinite(path, "row", arr)
+        return Dataset(arr.T.copy())
+    if n_cols < 2:
+        raise ValueError("%s: need at least 2 columns when the last is labels" % path)
+    _reject_nonfinite(path, "row", arr[:, :-1])
+    lab = arr[:, -1]
+    bad = np.flatnonzero(~((np.abs(lab) < 2.0 ** 63) & (np.floor(lab) == lab)))
+    if bad.size:
+        raise ValueError("%s: row %d column %d: label %r is not a finite integer"
+                         % (path, bad[0], n_cols - 1, float(lab[bad[0]])))
+    return Dataset(arr[:, :-1].T.copy(), lab.astype(np.int64))
 
 
 def save_model(params, path):

@@ -10,9 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint16)
-
-
 def _bytes_per_code(code_len):
     return (code_len + 7) // 8
 
@@ -58,6 +55,15 @@ class BinaryCodes:
                 raise ValueError("padding bits beyond the code length must be zero")
 
 
+def _distances(packed, q, code_len):
+    """Hamming distances from packed code q to each packed row (or to one 1-d code).
+
+    Summed in the smallest unsigned type that holds code_len, so for L <= 255
+    the stable argsort over the result is numpy's radix sort.
+    """
+    return np.bitwise_count(np.bitwise_xor(packed, q)).sum(axis=-1, dtype=np.min_scalar_type(code_len))
+
+
 def hamming_distance(a, b, code_len):
     """Differing bits among the first code_len bits of two packed codes."""
     a = np.asarray(a, dtype=np.uint8)
@@ -67,16 +73,9 @@ def hamming_distance(a, b, code_len):
     want = (_bytes_per_code(code_len),)
     if a.shape != want or b.shape != want:
         raise ValueError("packed codes must be 1-d of %d bytes for %d bits" % (want[0], code_len))
-    x = np.bitwise_xor(a, b)
-    pad_bits = code_len % 8
-    if pad_bits:
-        x[-1] &= (1 << pad_bits) - 1
-    return int(POPCOUNT[x].sum())
-
-
-def _distances_to_all(query_row, db):
-    """Hamming distances from one packed query to every database code."""
-    return POPCOUNT[np.bitwise_xor(db.packed, query_row[None, :])].sum(axis=1)
+    keep = np.full(want, 0xFF, dtype=np.uint8)
+    keep[-1] >>= -code_len % 8  # drop padding bits beyond code_len
+    return int(_distances(a & keep, b & keep, code_len))
 
 
 def euclidean_knn_gt(database, queries, k):
@@ -128,12 +127,44 @@ class EvalReport:
     radii: list = field(default_factory=list)
 
 
-def _ranking(query_row, db, top_k):
-    d = _distances_to_all(query_row, db)
-    order = np.argsort(d, kind="stable")  # ties resolve toward the lower index
-    if top_k is not None:
-        order = order[:top_k]
-    return d, order
+def _mean(values):
+    return float(np.mean(values)) if values else 0.0
+
+
+def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
+    """Validate once, then one Hamming pass per query.
+
+    Each query's distances and relevance mask are computed once; the AP of
+    the stable ranking (ties toward the lower index, capped at top_k) and the
+    precision of the ball of each radius all derive from them.  Returns
+    (per_query_ap, [per_query_precision for each radius]); the AP list is
+    empty unless with_ap.
+    """
+    db_codes.validate()
+    query_codes.validate()
+    if db_codes.code_len != query_codes.code_len:
+        raise ValueError("database and query codes have different lengths")
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be >= 1 when given")
+    if any(r < 0 for r in radii):
+        raise ValueError("radius must be >= 0")
+    validate_ground_truth(gt, db_codes.count, query_codes.count)
+    aps, precisions = [], [[] for _ in radii]
+    for q, gt_q in zip(query_codes.packed, gt):
+        d = _distances(db_codes.packed, q, db_codes.code_len)
+        gt_q = np.asarray(gt_q, dtype=np.int64)
+        rel = np.zeros(db_codes.count, dtype=bool)
+        rel[gt_q] = True
+        if with_ap:
+            rel_at_rank = rel[np.argsort(d, kind="stable")[:top_k]]
+            hits = np.cumsum(rel_at_rank)
+            ranks = np.flatnonzero(rel_at_rank) + 1
+            aps.append(float(np.sum(hits[rel_at_rank] / ranks)) / gt_q.size if gt_q.size else 0.0)
+        for per_r, r in zip(precisions, radii):
+            within = d <= r
+            n_retrieved = int(within.sum())
+            per_r.append(float(np.sum(within & rel)) / n_retrieved if n_retrieved else 0.0)
+    return aps, precisions
 
 
 def mean_average_precision(db_codes, query_codes, gt, top_k=None):
@@ -143,28 +174,8 @@ def mean_average_precision(db_codes, query_codes, gt, top_k=None):
     cap still count in the AP denominator.  Queries with empty ground truth
     contribute an AP of 0.  Returns (mean_ap, per_query_ap).
     """
-    db_codes.validate()
-    query_codes.validate()
-    if db_codes.code_len != query_codes.code_len:
-        raise ValueError("database and query codes have different lengths")
-    if top_k is not None and top_k < 1:
-        raise ValueError("top_k must be >= 1 when given")
-    validate_ground_truth(gt, db_codes.count, query_codes.count)
-    aps = []
-    for qi in range(query_codes.count):
-        _, order = _ranking(query_codes.packed[qi], db_codes, top_k)
-        gt_q = np.asarray(gt[qi])
-        if gt_q.size == 0:
-            aps.append(0.0)
-            continue
-        rel = np.zeros(db_codes.count, dtype=bool)
-        rel[gt_q] = True
-        rel_at_rank = rel[order]
-        hits = np.cumsum(rel_at_rank)
-        ranks = np.flatnonzero(rel_at_rank) + 1
-        aps.append(float(np.sum(hits[rel_at_rank] / ranks)) / gt_q.size)
-    mean_ap = float(np.mean(aps)) if aps else 0.0
-    return mean_ap, aps
+    aps, _ = _one_pass(db_codes, query_codes, gt, top_k=top_k)
+    return _mean(aps), aps
 
 
 def precision_at_radius(db_codes, query_codes, gt, radius):
@@ -173,34 +184,13 @@ def precision_at_radius(db_codes, query_codes, gt, radius):
     A query retrieving nothing at this radius scores 0.  Returns
     (mean_precision, per_query_precision).
     """
-    db_codes.validate()
-    query_codes.validate()
-    if db_codes.code_len != query_codes.code_len:
-        raise ValueError("database and query codes have different lengths")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    validate_ground_truth(gt, db_codes.count, query_codes.count)
-    precisions = []
-    for qi in range(query_codes.count):
-        d = _distances_to_all(query_codes.packed[qi], db_codes)
-        within = d <= radius
-        n_retrieved = int(within.sum())
-        if n_retrieved == 0:
-            precisions.append(0.0)
-            continue
-        rel = np.zeros(db_codes.count, dtype=bool)
-        rel[np.asarray(gt[qi], dtype=np.int64)] = True
-        precisions.append(float(np.sum(within & rel)) / n_retrieved)
-    mean_p = float(np.mean(precisions)) if precisions else 0.0
-    return mean_p, precisions
+    _, (precisions,) = _one_pass(db_codes, query_codes, gt, radii=(radius,), with_ap=False)
+    return _mean(precisions), precisions
 
 
 def evaluate(db_codes, query_codes, gt, radii=(2, 3, 4), top_k=None):
-    """Full report: mAP plus precision at each requested Hamming radius."""
-    mean_ap, per_ap = mean_average_precision(db_codes, query_codes, gt, top_k)
-    report = EvalReport(mean_ap, per_query_ap=per_ap, top_k=top_k, radii=sorted(set(int(r) for r in radii)))
-    for r in report.radii:
-        mean_p, per_p = precision_at_radius(db_codes, query_codes, gt, r)
-        report.precision_at[r] = mean_p
-        report.per_query_precision[r] = per_p
-    return report
+    """Full report: mAP plus precision at each requested Hamming radius, from one pass."""
+    radii = sorted(set(int(r) for r in radii))
+    aps, precisions = _one_pass(db_codes, query_codes, gt, top_k, radii)
+    return EvalReport(_mean(aps), {r: _mean(p) for r, p in zip(radii, precisions)}, per_query_ap=aps,
+                      per_query_precision=dict(zip(radii, precisions)), top_k=top_k, radii=radii)

@@ -10,37 +10,6 @@ LINE_SEARCH_FAILED = "line-search-failed"
 
 
 @dataclass
-class FlatParams:
-    """A 1-d view of named parameter blocks, with the layout to rebuild them."""
-
-    values: np.ndarray
-    layout: list  # [(name, shape), ...] in concatenation order
-
-    @classmethod
-    def from_blocks(cls, blocks):
-        layout = [(name, np.asarray(a).shape) for name, a in blocks]
-        if blocks:
-            values = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for _, a in blocks])
-        else:
-            values = np.zeros(0)
-        return cls(values, layout)
-
-    def to_blocks(self):
-        out = []
-        pos = 0
-        for name, shape in self.layout:
-            size = int(np.prod(shape)) if shape else 1
-            out.append((name, self.values[pos:pos + size].reshape(shape).copy()))
-            pos += size
-        if pos != self.values.size:
-            raise ValueError("layout covers %d values but vector has %d" % (pos, self.values.size))
-        return out
-
-    def replace(self, values):
-        return FlatParams(values, self.layout)
-
-
-@dataclass
 class LbfgsConfig:
     memory: int = 10
     max_iters: int = 100
@@ -63,7 +32,7 @@ class LbfgsConfig:
 
 @dataclass
 class LbfgsResult:
-    x: FlatParams
+    x: np.ndarray
     history: list = field(default_factory=list)  # objective value at x0 and after each accepted step
     status: str = MAX_ITERS
 
@@ -84,7 +53,7 @@ def _two_loop(g, s_list, y_list, rho_list, gamma):
 
 
 def minimize(fun, x0, config=None):
-    """Minimize fun(x) -> (value, gradient) starting from a FlatParams x0.
+    """Minimize fun(x) -> (value, gradient) starting from the 1-d float vector x0.
 
     Line search is backtracking with the Armijo sufficient-decrease test, so
     the recorded history is non-increasing.  Curvature pairs are admitted to
@@ -94,7 +63,7 @@ def minimize(fun, x0, config=None):
     """
     cfg = config or LbfgsConfig()
     cfg.validate()
-    x = np.asarray(x0.values, dtype=np.float64).copy()
+    x = np.array(x0, dtype=np.float64)
     fx, g = fun(x)
     fx = float(fx)
     g = np.asarray(g, dtype=np.float64)
@@ -165,4 +134,4 @@ def minimize(fun, x0, config=None):
         if fx < best_f:
             best_f, best_x = fx, x.copy()
 
-    return LbfgsResult(x0.replace(best_x), history, status)
+    return LbfgsResult(best_x, history, status)

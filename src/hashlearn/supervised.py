@@ -15,11 +15,7 @@ from hashlearn.unsupervised import (GradientSet, UnsupHyper, _backprop, _check_o
                                     _weight_decay)
 
 
-@dataclass(frozen=True)
-class SupHyper(UnsupHyper):
-    """The shared penalty weights and sizes, plus the per-class count of the training subset."""
-
-    n_per_class: int = 0
+SupHyper = UnsupHyper  # both objectives take the same penalty weights and sizes
 
 
 @dataclass(frozen=True)

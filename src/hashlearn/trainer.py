@@ -14,7 +14,7 @@ import numpy as np
 from hashlearn import supervised, unsupervised
 from hashlearn.evaluation import BinaryCodes
 from hashlearn.initialization import init_network, itq_init
-from hashlearn.lbfgs import FlatParams, LbfgsConfig, minimize
+from hashlearn.lbfgs import LbfgsConfig, minimize
 from hashlearn.network import (MODES, SUPERVISED, UNSUPERVISED, NetworkParams, check_finite, forward, sgn,
                                split_flat)
 
@@ -135,11 +135,8 @@ class TrainResult:
 
 
 def _flatten(params):
-    blocks = []
-    for i, (w, c) in enumerate(zip(params.weights, params.biases)):
-        blocks.append(("W%d" % (i + 1), w))
-        blocks.append(("c%d" % (i + 1), c))
-    return FlatParams.from_blocks(blocks)
+    """The flat vector W1, c1, W2, c2, ... (a copy); the inverse of split_flat."""
+    return np.concatenate([a.ravel() for pair in zip(params.weights, params.biases) for a in pair])
 
 
 def _rebuild(vec, template):
@@ -187,7 +184,7 @@ def _alternate(b0, params, config, objective_of, update_codes):
     """
     b = b0
     res = minimize(_make_objective(params, objective_of(params, b)), _flatten(params), config.lbfgs_initial)
-    params = _rebuild(res.x.values, params)
+    params = _rebuild(res.x, params)
     loss_trace = [res.history[-1]]
     wc_histories = [list(res.history)]
     b_step_losses = []
@@ -197,9 +194,9 @@ def _alternate(b0, params, config, objective_of, update_codes):
         b = update_codes(params, b)
         x0 = _flatten(params)
         fun = _make_objective(params, objective_of(params, b))
-        b_step_losses.append(fun(x0.values)[0])
+        b_step_losses.append(fun(x0)[0])
         res = minimize(fun, x0, config.lbfgs_subsequent)
-        params = _rebuild(res.x.values, params)
+        params = _rebuild(res.x, params)
         j = res.history[-1]
         loss_trace.append(j)
         wc_histories.append(list(res.history))
@@ -270,7 +267,7 @@ def train_supervised(x, labels, config):
         xs = xs - mu[:, None]
     m = xs.shape[1]
     hyper = supervised.SupHyper(config.lambda1, config.lambda2, config.lambda3,
-                                config.lambda4, config.code_len, m, config.n_per_class)
+                                config.lambda4, config.code_len, m)
     s = pair.matrix
     b0 = itq_init(xs, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
     params = init_network(xs, config.layer_sizes, SUPERVISED, config.activations)

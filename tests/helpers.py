@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from hashlearn.evaluation import EvalReport
 from hashlearn.network import LINEAR, SIGMOID, NetworkParams
 
 
@@ -264,3 +265,61 @@ def two_pass_sup_grad(params, x, b, s, lam1, lam2, lam3, lam4):
     pull += _code_pull(h, b, lam2, lam3, lam4)
     delta = pull * _deriv(params.activations[n - 2], h)
     return np.concatenate([a.ravel() for a in _two_pass_backprop(params, hs, delta, n - 2, lam1)])
+
+
+# Oracles for the one-pass evaluation: the popcount table, per-query distance
+# kernel and separate mAP / precision@r loops that evaluation._one_pass replaced.
+
+POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint16)
+
+
+def table_distances_to_all(query_row, db):
+    """Hamming distances from one packed query to every database code."""
+    return POPCOUNT[np.bitwise_xor(db.packed, query_row[None, :])].sum(axis=1)
+
+
+def separate_mean_average_precision(db_codes, query_codes, gt, top_k=None):
+    aps = []
+    for qi in range(query_codes.count):
+        order = np.argsort(table_distances_to_all(query_codes.packed[qi], db_codes), kind="stable")
+        if top_k is not None:
+            order = order[:top_k]
+        gt_q = np.asarray(gt[qi])
+        if gt_q.size == 0:
+            aps.append(0.0)
+            continue
+        rel = np.zeros(db_codes.count, dtype=bool)
+        rel[gt_q] = True
+        rel_at_rank = rel[order]
+        hits = np.cumsum(rel_at_rank)
+        ranks = np.flatnonzero(rel_at_rank) + 1
+        aps.append(float(np.sum(hits[rel_at_rank] / ranks)) / gt_q.size)
+    mean_ap = float(np.mean(aps)) if aps else 0.0
+    return mean_ap, aps
+
+
+def separate_precision_at_radius(db_codes, query_codes, gt, radius):
+    precisions = []
+    for qi in range(query_codes.count):
+        d = table_distances_to_all(query_codes.packed[qi], db_codes)
+        within = d <= radius
+        n_retrieved = int(within.sum())
+        if n_retrieved == 0:
+            precisions.append(0.0)
+            continue
+        rel = np.zeros(db_codes.count, dtype=bool)
+        rel[np.asarray(gt[qi], dtype=np.int64)] = True
+        precisions.append(float(np.sum(within & rel)) / n_retrieved)
+    mean_p = float(np.mean(precisions)) if precisions else 0.0
+    return mean_p, precisions
+
+
+def separate_evaluate(db_codes, query_codes, gt, radii=(2, 3, 4), top_k=None):
+    """mAP, then one full distance pass per radius."""
+    mean_ap, per_ap = separate_mean_average_precision(db_codes, query_codes, gt, top_k)
+    report = EvalReport(mean_ap, per_query_ap=per_ap, top_k=top_k, radii=sorted(set(int(r) for r in radii)))
+    for r in report.radii:
+        mean_p, per_p = separate_precision_at_radius(db_codes, query_codes, gt, r)
+        report.precision_at[r] = mean_p
+        report.per_query_precision[r] = per_p
+    return report

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,38 @@ def test_csv_headerless_and_errors(tmp_path):
     with pytest.raises(ValueError, match="2 columns"):
         load_csv(str(path), labels=True)
 
+
+
+def test_csv_rejects_fractional_label(tmp_path):
+    path = tmp_path / "frac.csv"
+    path.write_text("1,2,0\n3,4,1.5\n")
+    with pytest.raises(ValueError, match=r"frac\.csv: row 1 column 2: label 1\.5 is not a finite integer"):
+        load_csv(str(path), labels=True)
+
+
+def test_csv_rejects_nan_label_without_cast_warning(tmp_path):
+    path = tmp_path / "nanlab.csv"
+    path.write_text("f1,f2,label\n1,2,nan\n3,4,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"nanlab\.csv: row 0 column 2: label nan"):
+            load_csv(str(path), labels=True)
+
+
+def test_csv_rejects_nonfinite_features(tmp_path):
+    path = tmp_path / "feat.csv"
+    path.write_text("1,2,0\ninf,4,1\n")
+    with pytest.raises(ValueError, match=r"feat\.csv: row 1 column 0 is inf"):
+        load_csv(str(path), labels=True)
+    path.write_text("1,2\n3,nan\n")
+    with pytest.raises(ValueError, match=r"feat\.csv: row 1 column 1 is nan"):
+        load_csv(str(path))
+
+
+def test_xvecs_rejects_nonfinite_features(tmp_path):
+    path = write(tmp_path / "bad.fvecs", fvecs_record([1.0, 2.0, 3.0]) + fvecs_record([4.0, 5.0, float("-inf")]))
+    with pytest.raises(ValueError, match=r"bad\.fvecs: record 1 column 2 is -inf"):
+        load_xvecs(path, "float32")
 
 def test_model_round_trip_both_modes(tmp_path):
     rng = np.random.default_rng(0)

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hashlearn.lbfgs import (GRADIENT_CONVERGED, LINE_SEARCH_FAILED, FlatParams, LbfgsConfig,
+from hashlearn.lbfgs import (GRADIENT_CONVERGED, LINE_SEARCH_FAILED, LbfgsConfig,
                              LbfgsResult, _two_loop, minimize)
 
 
@@ -32,27 +30,23 @@ def seeded_quadratic(seed, dim):
     return fun, rng.standard_normal(dim)
 
 
-def flat(v):
-    return FlatParams(np.asarray(v, dtype=np.float64), [("x", (len(v),))])
-
-
 def test_quadratic_bowl_converges_quickly():
     center = np.array([1.0, -2.0, 3.0])
-    res = minimize(quadratic_bowl(center), flat([0.0, 0.0, 0.0]), LbfgsConfig(max_iters=20))
+    res = minimize(quadratic_bowl(center), np.array([0.0, 0.0, 0.0]), LbfgsConfig(max_iters=20))
     assert res.history[-1] < 1e-8
     assert len(res.history) <= 21
-    assert np.allclose(res.x.values, center, atol=1e-4)
+    assert np.allclose(res.x, center, atol=1e-4)
 
 
 def test_rosenbrock_reaches_minimum():
-    res = minimize(rosenbrock, flat([-1.2, 1.0]), LbfgsConfig(max_iters=500, grad_tol=1e-10))
+    res = minimize(rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(max_iters=500, grad_tol=1e-10))
     assert res.history[-1] < 1e-8
-    assert np.allclose(res.x.values, [1.0, 1.0], atol=1e-3)
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-3)
 
 
 def test_history_non_increasing():
     fun, x0 = seeded_quadratic(11, 8)
-    res = minimize(fun, flat(x0), LbfgsConfig(max_iters=60))
+    res = minimize(fun, x0, LbfgsConfig(max_iters=60))
     for a, b in zip(res.history, res.history[1:]):
         assert b <= a + 1e-12
 
@@ -61,8 +55,8 @@ def test_larger_memory_not_slower_on_quadratic():
     # grad_tol is kept above the float64 resolution of f near its minimum
     # (|f*| is order 4 here, so sub-1e-7 gradients stop being certifiable)
     fun, x0 = seeded_quadratic(7, 10)
-    res1 = minimize(fun, flat(x0.copy()), LbfgsConfig(memory=1, max_iters=200, grad_tol=1e-6))
-    res10 = minimize(fun, flat(x0.copy()), LbfgsConfig(memory=10, max_iters=200, grad_tol=1e-6))
+    res1 = minimize(fun, x0, LbfgsConfig(memory=1, max_iters=200, grad_tol=1e-6))
+    res10 = minimize(fun, x0, LbfgsConfig(memory=10, max_iters=200, grad_tol=1e-6))
     assert res1.status == GRADIENT_CONVERGED
     assert res10.status == GRADIENT_CONVERGED
     assert len(res10.history) <= len(res1.history)
@@ -75,7 +69,7 @@ def test_empty_memory_is_scaled_steepest_descent():
 
 
 def test_gradient_converged_status():
-    res = minimize(quadratic_bowl(np.zeros(2)), flat([0.0, 0.0]), LbfgsConfig(max_iters=5))
+    res = minimize(quadratic_bowl(np.zeros(2)), np.array([0.0, 0.0]), LbfgsConfig(max_iters=5))
     assert res.status == GRADIENT_CONVERGED
     assert res.history == [0.0]
 
@@ -84,9 +78,9 @@ def test_line_search_failure_returns_best_seen():
     def lying(x):
         # claims a descent direction exists but the value never improves
         return 1.0, np.array([1.0])
-    res = minimize(lying, flat([0.5]), LbfgsConfig(max_iters=10))
+    res = minimize(lying, np.array([0.5]), LbfgsConfig(max_iters=10))
     assert res.status == LINE_SEARCH_FAILED
-    assert res.x.values[0] == 0.5
+    assert res.x[0] == 0.5
     assert res.history == [1.0]
 
 
@@ -94,7 +88,7 @@ def test_nonfinite_start_raises():
     def bad(x):
         return np.nan, np.zeros(1)
     with pytest.raises(ValueError):
-        minimize(bad, flat([1.0]), LbfgsConfig())
+        minimize(bad, np.array([1.0]), LbfgsConfig())
 
 
 def test_nonfinite_trial_step_is_backtracked():
@@ -107,10 +101,10 @@ def test_nonfinite_trial_step_is_backtracked():
             calls["inf"] += 1
             return np.inf, np.zeros(1)
         return (v + 0.9) ** 2, np.array([2 * (v + 0.9)])
-    res = minimize(fun, flat([3.0]), LbfgsConfig(max_iters=50))
+    res = minimize(fun, np.array([3.0]), LbfgsConfig(max_iters=50))
     assert calls["inf"] > 0
     assert res.history[-1] < 1e-10
-    assert abs(res.x.values[0] + 0.9) < 1e-4
+    assert abs(res.x[0] + 0.9) < 1e-4
 
 
 def test_config_validation():
@@ -119,29 +113,5 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LbfgsConfig(sufficient_decrease=0.95, curvature=0.9).validate()
     with pytest.raises(ValueError):
-        minimize(quadratic_bowl(np.zeros(1)), flat([1.0]), LbfgsConfig(memory=-1))
+        minimize(quadratic_bowl(np.zeros(1)), np.array([1.0]), LbfgsConfig(memory=-1))
 
-
-class TestFlatParams:
-    def test_round_trip_known_blocks(self):
-        w = np.arange(6.0).reshape(2, 3)
-        c = np.array([7.0, 8.0])
-        fp = FlatParams.from_blocks([("w", w), ("c", c)])
-        assert fp.values.shape == (8,)
-        blocks = fp.to_blocks()
-        assert blocks[0][0] == "w" and np.array_equal(blocks[0][1], w)
-        assert blocks[1][0] == "c" and np.array_equal(blocks[1][1], c)
-
-    @given(st.integers(min_value=0, max_value=400))
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_random(self, seed):
-        rng = np.random.default_rng(seed)
-        blocks = []
-        for i in range(int(rng.integers(1, 5))):
-            shape = tuple(int(v) for v in rng.integers(1, 5, size=int(rng.integers(1, 3))))
-            blocks.append(("b%d" % i, rng.standard_normal(shape)))
-        fp = FlatParams.from_blocks(blocks)
-        rebuilt = fp.to_blocks()
-        for (name, arr), (name2, arr2) in zip(blocks, rebuilt):
-            assert name == name2
-            assert np.array_equal(arr, arr2)

@@ -2,14 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hashlearn.unsupervised as unsup
 from hashlearn.evaluation import BinaryCodes
 from hashlearn.lbfgs import LbfgsConfig, minimize
-from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, forward, sgn
+from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, forward, sgn, split_flat
 from hashlearn.toydata import gaussian_clusters
 from hashlearn.trainer import (SUP_LAMBDAS, UNSUP_LAMBDAS, TrainConfig, _final_status, _flatten,
-                               _make_objective, _should_abort, default_layer_sizes, derive_seed, encode,
+                               _make_objective, _rebuild, _should_abort, default_layer_sizes, derive_seed, encode,
                                train_supervised, train_unsupervised)
 
 from helpers import random_params
@@ -288,7 +290,7 @@ def test_overflowing_objective_maps_to_infinity_quietly():
     b = np.ones((2, 4))
     hyper = unsup.UnsupHyper(*UNSUP_LAMBDAS, code_len=2, n_samples=4)
     fun = _make_objective(params, lambda p: unsup.value_and_grad(p, x, b, hyper))
-    vec = _flatten(params).values
+    vec = _flatten(params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         j, g = fun(vec * 1e120)
@@ -319,3 +321,17 @@ def test_encode_rejects_nonfinite_input():
     x_new[2, 4] = np.inf
     with pytest.raises(ValueError, match=r"x_new has non-finite value inf at \(row 2, column 4\)"):
         encode(res.params, x_new)
+
+
+@given(st.integers(0, 400))
+@settings(max_examples=30, deadline=None)
+def test_flatten_round_trips_through_split_flat(seed):
+    rng = np.random.default_rng(seed)
+    sizes = [int(v) for v in rng.integers(1, 5, size=int(rng.integers(2, 6)))]
+    params = random_params(sizes, [LINEAR] * (len(sizes) - 1), UNSUPERVISED, rng)
+    vec = _flatten(params)
+    assert vec.shape == (sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:])),)
+    weights, biases = split_flat(vec, sizes)
+    for got, want in zip(weights + biases, params.weights + params.biases):
+        assert np.array_equal(got, want)
+    assert np.array_equal(_flatten(_rebuild(vec, params)), vec)
