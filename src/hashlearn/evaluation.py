@@ -10,6 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from hashlearn.network import check_finite
+
+
 def _bytes_per_code(code_len):
     return (code_len + 7) // 8
 
@@ -88,6 +91,8 @@ def euclidean_knn_gt(database, queries, k):
     queries = np.asarray(queries, dtype=np.float64)
     if database.ndim != 2 or queries.ndim != 2 or database.shape[0] != queries.shape[0]:
         raise ValueError("database and queries must be (D, *) arrays with equal D")
+    check_finite("database", database)
+    check_finite("queries", queries)
     if not 1 <= k <= database.shape[1]:
         raise ValueError("k=%d out of range for %d database items" % (k, database.shape[1]))
     out = []

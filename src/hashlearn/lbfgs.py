@@ -8,6 +8,8 @@ GRADIENT_CONVERGED = "gradient-converged"
 MAX_ITERS = "max-iters"
 LINE_SEARCH_FAILED = "line-search-failed"
 
+_MAX_BACKTRACKS = 30  # step halvings before the line search gives up
+
 
 @dataclass
 class LbfgsConfig:
@@ -15,19 +17,14 @@ class LbfgsConfig:
     max_iters: int = 100
     grad_tol: float = 1e-8
     sufficient_decrease: float = 1e-4  # Armijo constant
-    curvature: float = 0.9             # constant for the optional strict curvature check
-    max_backtracks: int = 30
-    strict_curvature: bool = False     # when set, pairs must also satisfy the Wolfe curvature test
 
     def validate(self):
         if self.memory < 1:
             raise ValueError("memory must be >= 1, got %d" % self.memory)
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0, got %d" % self.max_iters)
-        if not 0.0 < self.sufficient_decrease < self.curvature < 1.0:
-            raise ValueError("need 0 < sufficient_decrease < curvature < 1")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
+        if not 0.0 < self.sufficient_decrease < 1.0:
+            raise ValueError("need 0 < sufficient_decrease < 1")
 
 
 @dataclass
@@ -94,7 +91,7 @@ def minimize(fun, x0, config=None):
                 break
         t = 1.0
         accepted = False
-        for _bt in range(cfg.max_backtracks):
+        for _bt in range(_MAX_BACKTRACKS):
             x_new = x + t * d
             f_new, g_new = fun(x_new)
             f_new = float(f_new)
@@ -111,10 +108,7 @@ def minimize(fun, x0, config=None):
         y = g_new - g
         # skip the pair when s.y is too small to keep the update well posed
         sy = float(np.dot(s, y))
-        admit = sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
-        if cfg.strict_curvature and float(np.dot(g_new, d)) < cfg.curvature * slope:
-            admit = False
-        if admit:
+        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)

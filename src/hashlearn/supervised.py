@@ -1,4 +1,4 @@
-"""Pairwise-label hashing: similarity matrix, objective, gradients, code update.
+"""Pairwise-label hashing: class structure, objective, gradients, code update.
 
 The network's last layer doubles as the code layer here; codes follow its
 activations directly (B = sgn(H)), and the objective asks the scaled code
@@ -20,9 +20,9 @@ SupHyper = UnsupHyper  # both objectives take the same penalty weights and sizes
 
 @dataclass(frozen=True)
 class PairwiseLabels:
-    """Same-class indicator matrix over a selected training subset."""
+    """Class structure of a selected training subset: S = 2 Y Y^T - 1 1^T."""
 
-    matrix: np.ndarray         # (m, m) with +1 same class, -1 different
+    indicator: np.ndarray       # (m, C) one-hot class of each subset sample
     sample_indices: np.ndarray  # positions of the subset in the original label array
 
 
@@ -34,8 +34,13 @@ def pairwise_matrix(labels):
     return np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
 
 
+def _one_hot(labels):
+    classes, inverse = np.unique(labels, return_inverse=True)
+    return np.eye(classes.size)[inverse]
+
+
 def build_pairwise(labels, n_per_class, seed):
-    """Pick n_per_class samples per class uniformly at random and build S.
+    """Pick n_per_class samples per class uniformly at random; their class indicator.
 
     Selection is grouped by class in sorted class order; the RNG is seeded so
     the subset is reproducible.
@@ -53,47 +58,50 @@ def build_pairwise(labels, n_per_class, seed):
             raise ValueError("class %r has %d samples, need %d" % (cls, idx.size, n_per_class))
         picked.append(rng.choice(idx, size=n_per_class, replace=False))
     sel = np.concatenate(picked)
-    return PairwiseLabels(pairwise_matrix(labels[sel]), sel)
+    return PairwiseLabels(_one_hot(labels[sel]), sel)
 
 
-def _check_similarity(s, m):
+def _indicator_of(s, m):
+    """Class indicator Y with 2 Y Y^T - 1 1^T == s; rejects any s that is not a same-class matrix."""
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (m, m):
         raise ValueError("similarity matrix has shape %s, expected (%d, %d)" % (s.shape, m, m))
-    if not np.all(np.abs(s) == 1.0):
-        raise ValueError("similarity entries must be +1/-1")
-    if not np.array_equal(s, s.T):
-        raise ValueError("similarity matrix must be symmetric")
-    return s
+    classes = np.argmax(s == 1.0, axis=1)  # each row's first same-class column names its class
+    if not np.array_equal(pairwise_matrix(classes), s):
+        raise ValueError("similarity matrix must be the +1/-1 same-class matrix of some labelling")
+    return _one_hot(classes)
 
 
-def check_inputs(params, x, b, s, hyper):
-    """Validate everything value_and_grad takes on trust; returns x, b and s as float arrays."""
-    x, b = _check_objective_inputs(params, x, b, hyper, -1)
-    return x, b, _check_similarity(s, hyper.n_samples)
+def check_inputs(params, x, b, hyper):
+    """Validate all value_and_grad takes on trust but y; returns x and b as float arrays."""
+    return _check_objective_inputs(params, x, b, hyper, -1)
 
 
-def value_and_grad(params, x, b, s, hyper):
-    """Pairwise objective and its flat gradient (laid out as network.split_flat)
-    in one forward pass.  Nothing is validated: check_inputs() once per phase first."""
+def value_and_grad(params, x, b, y, hyper):
+    """Pairwise objective and its flat gradient (laid out as network.split_flat) from the (m, C)
+    class indicator y, in one forward pass.  Nothing is validated: check_inputs() once per phase first."""
     m = hyper.n_samples
     n = params.n_layers
     trace = _forward(params, x, n)
     h = trace.H[-1]
-    fit = h.T @ h / hyper.code_len - s
+    # ||H^T H / L - S||^2 and its gradient through S = 2 Y Y^T - 1 1^T: no (m, m) array
+    hht = h @ h.T / hyper.code_len
+    hy = h @ y
+    h1 = h.sum(axis=1)
+    fit_sq = frobenius_sq(hht) - (2.0 / hyper.code_len) * (2.0 * frobenius_sq(hy) - h1 @ h1) + m * m
     j_code, pull = _code_layer_terms(h, b, hyper)
-    j = frobenius_sq(fit) / (2.0 * m)
+    j = fit_sq / (2.0 * m)
     j += _weight_decay(params, hyper)
     j += j_code
-    # d/dH of the pairwise term, written exactly as the symmetrized product
-    pull += (1.0 / (m * hyper.code_len)) * (h @ (fit + fit.T))
+    pull += (2.0 / (m * hyper.code_len)) * (hht @ h - 2.0 * (hy @ y.T) + h1[:, None])
     delta = through_activation(params.activations[n - 2], pull, h)
     return j, _backprop(params, trace, delta, n - 2, hyper.lambda1)[0]
 
 
 def loss(params, x, b, s, hyper):
-    """Pairwise objective at fixed codes b and similarity s."""
-    j = value_and_grad(params, *check_inputs(params, x, b, s, hyper), hyper)[0]
+    """Pairwise objective at fixed codes b and same-class matrix s."""
+    x, b = check_inputs(params, x, b, hyper)
+    j = value_and_grad(params, x, b, _indicator_of(s, hyper.n_samples), hyper)[0]
     if not np.isfinite(j):
         raise ValueError("objective is non-finite")
     return j
@@ -101,7 +109,8 @@ def loss(params, x, b, s, hyper):
 
 def grad(params, x, b, s, hyper):
     """Gradient of loss() for every weight and bias block."""
-    g = value_and_grad(params, *check_inputs(params, x, b, s, hyper), hyper)[1]
+    x, b = check_inputs(params, x, b, hyper)
+    g = value_and_grad(params, x, b, _indicator_of(s, hyper.n_samples), hyper)[1]
     return GradientSet(*split_flat(g, params.layer_sizes))
 
 

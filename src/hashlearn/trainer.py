@@ -63,10 +63,8 @@ class TrainConfig:
     lambda3: float
     lambda4: float
     max_iter: int
-    activations: list = None
     lbfgs_initial: LbfgsConfig = field(default_factory=lambda: LbfgsConfig(max_iters=50))
     lbfgs_subsequent: LbfgsConfig = field(default_factory=lambda: LbfgsConfig(max_iters=20))
-    dcc_max_sweeps: int = 10
     n_per_class: int = DEFAULT_PER_CLASS
     seed: int = 42
     center_inputs: bool = False
@@ -98,8 +96,6 @@ class TrainConfig:
             raise ValueError("code_len must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.dcc_max_sweeps < 1:
-            raise ValueError("dcc_max_sweeps must be >= 1")
         if self.itq_iters < 0:
             raise ValueError("itq_iters must be >= 0")
         sizes = self.layer_sizes
@@ -228,7 +224,7 @@ def train_unsupervised(x, config):
     hyper = unsupervised.UnsupHyper(config.lambda1, config.lambda2, config.lambda3,
                                     config.lambda4, config.code_len, m)
     b0 = itq_init(xt, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
-    params = init_network(xt, config.layer_sizes, UNSUPERVISED, config.activations)
+    params = init_network(xt, config.layer_sizes, UNSUPERVISED)
     n = params.n_layers
 
     def objective_of(p, b):
@@ -237,7 +233,7 @@ def train_unsupervised(x, config):
 
     def update_codes(p, b):
         h_code = forward(p, xt, upto=n - 1).H[-1]
-        return unsupervised.b_step(p, xt, h_code, b, hyper, config.dcc_max_sweeps)
+        return unsupervised.b_step(p, xt, h_code, b, hyper)
 
     params, b, trace, status, b_losses, wc_hist = _alternate(
         b0, params, config, objective_of, update_codes)
@@ -268,14 +264,13 @@ def train_supervised(x, labels, config):
     m = xs.shape[1]
     hyper = supervised.SupHyper(config.lambda1, config.lambda2, config.lambda3,
                                 config.lambda4, config.code_len, m)
-    s = pair.matrix
     b0 = itq_init(xs, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
-    params = init_network(xs, config.layer_sizes, SUPERVISED, config.activations)
+    params = init_network(xs, config.layer_sizes, SUPERVISED)
     n = params.n_layers
 
     def objective_of(p, b):
-        supervised.check_inputs(p, xs, b, s, hyper)
-        return lambda q: supervised.value_and_grad(q, xs, b, s, hyper)
+        supervised.check_inputs(p, xs, b, hyper)
+        return lambda q: supervised.value_and_grad(q, xs, b, pair.indicator, hyper)
 
     def update_codes(p, b):
         h_code = forward(p, xs, upto=n).H[-1]
@@ -289,15 +284,11 @@ def train_supervised(x, labels, config):
                        subset_indices=pair.sample_indices)
 
 
-def encode(params, x_new, mode=None):
+def encode(params, x_new):
     """Binary codes for new samples: forward to the code layer, take signs."""
-    if mode is None:
-        mode = params.mode
-    if mode not in MODES:
-        raise ValueError("unknown mode %r" % (mode,))
     x_new = np.asarray(x_new, dtype=np.float64)
     check_finite("x_new", x_new)
     n = params.n_layers
-    upto = n - 1 if mode == UNSUPERVISED else n
+    upto = n - 1 if params.mode == UNSUPERVISED else n
     trace = forward(params, x_new, upto=upto)
     return BinaryCodes.from_sign_matrix(sgn(trace.H[-1]))

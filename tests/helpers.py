@@ -323,3 +323,25 @@ def separate_evaluate(db_codes, query_codes, gt, radii=(2, 3, 4), top_k=None):
         report.precision_at[r] = mean_p
         report.per_query_precision[r] = per_p
     return report
+
+
+# Labelled data for the dependency-free supervised-vs-unsupervised check.
+
+def labelled_with_nuisance(seed, per_class_counts):
+    """Labelled (64, n) sets of 10 classes whose labels only partly follow Euclidean geometry.
+
+    Dimensions 0-15 hold orthogonal class centres at scale 10; dimensions
+    16-63 hold 20 label-independent orthogonal nuisance centres at scale 20,
+    so nearest neighbours often cross classes.  Unit Gaussian noise on top.
+    Returns one (x, labels) pair per entry of per_class_counts, all drawn
+    around the same centres.
+    """
+    rng = np.random.default_rng(seed)
+    signal = np.linalg.qr(rng.standard_normal((16, 16)))[0][:, :10] * 10.0
+    nuisance = np.linalg.qr(rng.standard_normal((48, 48)))[0][:, :20] * 20.0
+    out = []
+    for per_class in per_class_counts:
+        labels = np.repeat(np.arange(10), per_class)
+        x = np.vstack([signal[:, labels], nuisance[:, rng.integers(0, 20, labels.size)]])
+        out.append((x + rng.standard_normal(x.shape), labels))
+    return out

@@ -32,6 +32,7 @@ from hashlearn.trainer import (SUP_LAMBDAS, UNSUP_LAMBDAS, TrainConfig, encode, 
                                train_unsupervised)
 
 from helpers import central_difference, max_rel_error, naive_hamming, random_params
+from helpers import labelled_with_nuisance
 
 MNIST_ENV = "HASHLEARN_MNIST_DIR"
 
@@ -310,6 +311,18 @@ def test_c08_companion_supervised_beats_unsupervised_on_digits():
     assert map_sup > map_unsup
     assert elapsed < 600.0
     print("c08 PASS digits label mAP: supervised %.3f > unsupervised %.3f (%.1fs)"
+          % (map_sup, map_unsup, elapsed))
+
+
+def test_c08_synthetic_supervised_beats_unsupervised_with_nuisance_dimensions():
+    # runs without datasets or optional packages, so every run checks the claim
+    start = time.perf_counter()
+    (x, labels), (x_query, labels_query) = labelled_with_nuisance(seed=0, per_class_counts=(50, 20))
+    map_sup, map_unsup = _label_map_sup_vs_unsup(x, labels, x_query, labels_query,
+                                                 n_per_class=50, hidden=(48, 32))
+    elapsed = time.perf_counter() - start
+    assert map_sup > map_unsup
+    print("c08 PASS synthetic label mAP: supervised %.3f > unsupervised %.3f (%.1fs)"
           % (map_sup, map_unsup, elapsed))
 
 

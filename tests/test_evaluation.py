@@ -140,6 +140,19 @@ def test_knn_validation():
         euclidean_knn_gt(db, np.zeros((3, 1)), 0)
 
 
+def test_knn_rejects_non_finite_database():
+    # a NaN point would otherwise be ranked last without complaint
+    db = np.array([[0.0, np.nan, 5.0, 1.0]])
+    with pytest.raises(ValueError, match=r"database has non-finite value nan at \(row 0, column 1\)"):
+        euclidean_knn_gt(db, np.array([[0.9]]), 4)
+
+
+def test_knn_rejects_non_finite_queries():
+    q = np.array([[0.9, 1.0], [2.0, -np.inf]])
+    with pytest.raises(ValueError, match=r"queries has non-finite value -inf at \(row 1, column 1\)"):
+        euclidean_knn_gt(np.zeros((2, 3)), q, 2)
+
+
 def test_label_gt_cases():
     assert [g.tolist() for g in label_gt([1, 1, 1], [1, 1])] == [[0, 1, 2], [0, 1, 2]]
     assert [g.tolist() for g in label_gt([1, 2], [3])] == [[]]

@@ -1,5 +1,6 @@
-"""Differential tests: the fused value-and-gradient pass and the tanh sigmoid
-against the two-pass objectives and the split-exp sigmoid they replaced."""
+"""Differential tests: the fused value-and-gradient pass (low-rank in the
+supervised mode) and the tanh sigmoid against the dense two-pass objectives
+and the split-exp sigmoid they replaced."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -50,15 +51,18 @@ def test_unsup_value_and_grad_matches_two_pass(seed, n_layers):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(3, 5))
-def test_sup_value_and_grad_matches_two_pass(seed, n_layers):
+@given(st.integers(0, 10**6), st.integers(3, 5), st.integers(1, 4))
+def test_sup_value_and_grad_matches_two_pass(seed, n_layers, n_classes):
+    # the low-rank objective from the class indicator y against the dense one from S
     params, x, b, rng = random_instance(seed, n_layers, SUPERVISED)
-    s = sup.pairwise_matrix(rng.integers(0, 3, size=b.shape[1]))
+    labels = rng.integers(0, n_classes, size=b.shape[1])
+    y = np.eye(n_classes)[labels]
+    s = sup.pairwise_matrix(labels)
     hyper = sup.SupHyper(*SUP_LAMBDAS, code_len=b.shape[0], n_samples=b.shape[1])
-    j, g = sup.value_and_grad(params, x, b, s, hyper)
+    j, g = sup.value_and_grad(params, x, b, y, hyper)
     assert_rel_close(j, two_pass_sup_loss(params, x, b, s, *SUP_LAMBDAS))
     assert_rel_close(g, two_pass_sup_grad(params, x, b, s, *SUP_LAMBDAS))
-    assert sup.loss(params, x, b, s, hyper) == j
+    assert_rel_close(sup.loss(params, x, b, s, hyper), j)
 
 
 def test_grad_wrapper_blocks_view_the_fused_gradient():

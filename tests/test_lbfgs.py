@@ -111,7 +111,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LbfgsConfig(memory=0).validate()
     with pytest.raises(ValueError):
-        LbfgsConfig(sufficient_decrease=0.95, curvature=0.9).validate()
+        LbfgsConfig(sufficient_decrease=1.0).validate()
     with pytest.raises(ValueError):
         minimize(quadratic_bowl(np.zeros(1)), np.array([1.0]), LbfgsConfig(memory=-1))
 

@@ -38,20 +38,30 @@ def unpack_into(params, vec):
     return out
 
 
+def implied_similarity(res):
+    """S = 2 Y Y^T - 1 of a subset's class indicator."""
+    y = res.indicator
+    return 2.0 * y @ y.T - 1.0
+
+
 def test_build_pairwise_two_classes_exact_matrix():
-    res = build_pairwise([0, 0, 1, 1], 2, seed=5)
+    labels = np.array([0, 0, 1, 1])
+    res = build_pairwise(labels, 2, seed=5)
     expected = np.array([[1.0, 1.0, -1.0, -1.0],
                          [1.0, 1.0, -1.0, -1.0],
                          [-1.0, -1.0, 1.0, 1.0],
                          [-1.0, -1.0, 1.0, 1.0]])
-    assert np.array_equal(res.matrix, expected)
+    assert np.array_equal(implied_similarity(res), pairwise_matrix(labels[res.sample_indices]))
+    assert np.array_equal(implied_similarity(res), expected)
     assert sorted(res.sample_indices[:2]) == [0, 1]
     assert sorted(res.sample_indices[2:]) == [2, 3]
 
 
 def test_build_pairwise_single_class_all_positive():
-    res = build_pairwise([3, 3, 3, 3, 3], 3, seed=0)
-    assert np.array_equal(res.matrix, np.ones((3, 3)))
+    labels = np.array([3, 3, 3, 3, 3])
+    res = build_pairwise(labels, 3, seed=0)
+    assert np.array_equal(implied_similarity(res), pairwise_matrix(labels[res.sample_indices]))
+    assert np.array_equal(implied_similarity(res), np.ones((3, 3)))
 
 
 def test_build_pairwise_seeded_and_counts():
@@ -176,8 +186,20 @@ def test_similarity_validation_errors():
         SupHyper(0.0, -1.0, 0.0, 0.0, 2, 2).validate()
 
 
+def test_similarity_must_be_a_same_class_matrix():
+    # +1/-1 and symmetric, but 0 ~ 1 and 1 ~ 2 while 0 !~ 2: no labelling gives this S
+    params, x, b, _, hyper, _ = make_instance(8, m=3)
+    s = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="same-class"):
+        loss(params, x, b, s, hyper)
+    with pytest.raises(ValueError, match="same-class"):
+        grad(params, x, b, s, hyper)
+
+
 def test_pairwise_labels_container():
-    res = build_pairwise([1, 1, 0, 0], 1, seed=3)
+    labels = np.array([1, 1, 0, 0])
+    res = build_pairwise(labels, 1, seed=3)
     assert isinstance(res, PairwiseLabels)
-    assert res.matrix.shape == (2, 2)
+    assert res.indicator.shape == (2, 2)
+    assert np.array_equal(implied_similarity(res), pairwise_matrix(labels[res.sample_indices]))
     assert res.sample_indices.shape == (2,)

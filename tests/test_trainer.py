@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -198,8 +199,10 @@ def test_encode_rejects_bad_mode_and_shape():
     cfg = small_unsup_config(6, 4)
     cfg.max_iter = 1
     res = train_unsupervised(x, cfg)
+    bad_mode = res.params.copy()
+    bad_mode.mode = "other"
     with pytest.raises(ValueError):
-        encode(res.params, x, mode="other")
+        encode(bad_mode, x)
     with pytest.raises(ValueError):
         encode(res.params, x[:4])
 
@@ -335,3 +338,22 @@ def test_flatten_round_trips_through_split_flat(seed):
     for got, want in zip(weights + biases, params.weights + params.biases):
         assert np.array_equal(got, want)
     assert np.array_equal(_flatten(_rebuild(vec, params)), vec)
+
+
+def test_supervised_training_builds_no_m_by_m_array():
+    # numpy reports its buffers to tracemalloc; at m = 2000 one (m, m) float64
+    # array alone would take 30.5 MiB
+    m = 2000
+    x, labels = gaussian_clusters(16, m, 10, seed=3)
+    cfg = small_sup_config(16, 8, n_per_class=200)
+    cfg.max_iter = 1
+    cfg.lbfgs_initial = LbfgsConfig(max_iters=2)
+    cfg.lbfgs_subsequent = LbfgsConfig(max_iters=2)
+    tracemalloc.start()
+    try:
+        res = train_supervised(x, labels, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.codes.count == m
+    assert peak < m * m * 8
