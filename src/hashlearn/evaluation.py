@@ -67,25 +67,54 @@ def _distances(packed, q, code_len):
     return np.bitwise_count(np.bitwise_xor(packed, q)).sum(axis=-1, dtype=np.min_scalar_type(code_len))
 
 
-def hamming_distance(a, b, code_len):
-    """Differing bits among the first code_len bits of two packed codes."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if code_len < 1:
-        raise ValueError("code_len must be >= 1")
-    want = (_bytes_per_code(code_len),)
-    if a.shape != want or b.shape != want:
-        raise ValueError("packed codes must be 1-d of %d bytes for %d bits" % (want[0], code_len))
-    keep = np.full(want, 0xFF, dtype=np.uint8)
-    keep[-1] >>= -code_len % 8  # drop padding bits beyond code_len
-    return int(_distances(a & keep, b & keep, code_len))
+def _scan_knn(database, q, k):
+    """Exact k nearest columns of one query: every distance by differences, stable sort."""
+    d = np.sum((database - q[:, None]) ** 2, axis=0)
+    return np.argsort(d, kind="stable")[:k].astype(np.int64)
+
+
+def _certified_block(database, block, sq_norms, max_norm, k, n_cand):
+    """k nearest columns of each query column in block, or None where the certificate fails.
+
+    One GEMM gives the block's distances as ||x||^2 - 2 q^T x + ||q||^2; each
+    query's n_cand smallest are re-ranked by the differences, as _scan_knn
+    ranks them.  Both forms are within (D + 2) eps / 2 (max||x|| + ||q||)^2 of
+    the true distance (Cauchy-Schwarz for q^T x, nonnegative terms for the
+    differences), so when the k-th re-ranked distance is below the smallest
+    excluded GEMM distance by twice (D + 3) (eps (max||x|| + ||q||)^2 + the
+    smallest subnormal, for underflow), no excluded column can rank among the
+    first k.
+    """
+    dim = database.shape[0]
+    approx = block.T @ database
+    approx *= -2.0
+    approx += sq_norms
+    q_sq = np.einsum("ij,ij->j", block, block)
+    approx += q_sq[:, None]
+    bounds = 2.0 * (dim + 3) * (np.finfo(np.float64).eps * (max_norm + np.sqrt(q_sq)) ** 2
+                                + np.finfo(np.float64).smallest_subnormal)
+    # np.sum adds rows in sequence on row-major data but pairwise down each column on
+    # column-major data; gathering the candidates in the database's memory order keeps
+    # their distances bit-identical to the scan's
+    column_major = abs(database.strides[0]) < abs(database.strides[1])
+    out = []
+    for q, g, bound in zip(block.T, approx, bounds):
+        part = np.argpartition(g, n_cand)
+        cand = np.sort(part[:n_cand])
+        near = database[:, cand] if column_major else database.take(cand, axis=1)
+        d = np.sum((near - q[:, None]) ** 2, axis=0)
+        order = np.argsort(d, kind="stable")[:k]
+        out.append(cand[order] if d[order[-1]] < g[part[n_cand]] - bound else None)
+    return out
 
 
 def euclidean_knn_gt(database, queries, k):
     """k nearest database columns per query column under squared Euclidean distance.
 
     Ties resolve toward the lower database index.  Returns a list of index
-    arrays, one per query.
+    arrays, one per query.  Candidates come from blocked GEMM distances and are
+    ranked exactly; a query whose ranking the rounding bound cannot certify
+    falls back to the exact scan, so the result is always the scan's.
     """
     database = np.asarray(database, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -93,13 +122,19 @@ def euclidean_knn_gt(database, queries, k):
         raise ValueError("database and queries must be (D, *) arrays with equal D")
     check_finite("database", database)
     check_finite("queries", queries)
-    if not 1 <= k <= database.shape[1]:
-        raise ValueError("k=%d out of range for %d database items" % (k, database.shape[1]))
+    dim, n = database.shape
+    if not 1 <= k <= n:
+        raise ValueError("k=%d out of range for %d database items" % (k, n))
+    n_cand = 2 * k + 16
+    if n_cand >= n:
+        return [_scan_knn(database, q, k) for q in queries.T]
+    sq_norms = np.einsum("ij,ij->j", database, database)
+    max_norm = np.sqrt(sq_norms.max())
+    step = max(1, dim // 2)  # a (step, n) block: half the scan's (D, n) temporary
     out = []
-    for j in range(queries.shape[1]):
-        d = np.sum((database - queries[:, j][:, None]) ** 2, axis=0)
-        out.append(np.argsort(d, kind="stable")[:k].astype(np.int64))
-    return out
+    for start in range(0, queries.shape[1], step):
+        out += _certified_block(database, queries[:, start:start + step], sq_norms, max_norm, k, n_cand)
+    return [_scan_knn(database, q, k) if idx is None else idx for q, idx in zip(queries.T, out)]
 
 
 def label_gt(db_labels, query_labels):

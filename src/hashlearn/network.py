@@ -76,14 +76,12 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations and pre-activations of one forward pass.
+    """Per-layer activations of one forward pass.
 
     H[0] is the input; H[i] is the output of layer i+1 (so len(H) == upto).
-    Z[i] is the pre-activation that produced H[i+1].
     """
 
     H: list = field(default_factory=list)
-    Z: list = field(default_factory=list)
 
 
 def _sigmoid(z):
@@ -104,11 +102,9 @@ def activate(kind, z):
 
 
 def activation_deriv(kind, h):
-    """Derivative of the activation expressed through its output h."""
+    """Derivative of a nonlinear activation expressed through its output h."""
     if kind == SIGMOID:
         return h * (1.0 - h)
-    if kind == LINEAR:
-        return np.ones_like(h)
     raise ValueError("unknown activation %r" % (kind,))
 
 
@@ -132,13 +128,12 @@ def split_flat(vec, layer_sizes):
 
 def _forward(params, x, upto):
     """forward() without any checks; for callers that validated once up front."""
-    trace = ForwardTrace(H=[x], Z=[])
+    trace = ForwardTrace(H=[x])
     h = x
     for i in range(upto - 1):
         z = params.weights[i] @ h
         z += params.biases[i][:, None]
         h = activate(params.activations[i], z)
-        trace.Z.append(z)
         trace.H.append(h)
     return trace
 

@@ -85,11 +85,12 @@ def value_and_grad(params, x, b, y, hyper):
     trace = _forward(params, x, n)
     h = trace.H[-1]
     # ||H^T H / L - S||^2 and its gradient through S = 2 Y Y^T - 1 1^T: no (m, m) array
-    hht = h @ h.T / hyper.code_len
+    gram = h @ h.T
+    hht = gram / hyper.code_len
     hy = h @ y
     h1 = h.sum(axis=1)
     fit_sq = frobenius_sq(hht) - (2.0 / hyper.code_len) * (2.0 * frobenius_sq(hy) - h1 @ h1) + m * m
-    j_code, pull = _code_layer_terms(h, b, hyper)
+    j_code, pull = _code_layer_terms(h, b, gram, h1, hyper)
     j = fit_sq / (2.0 * m)
     j += _weight_decay(params, hyper)
     j += j_code

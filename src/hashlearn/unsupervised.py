@@ -73,11 +73,11 @@ def check_inputs(params, x, b, hyper):
     return _check_objective_inputs(params, x, b, hyper, -2)
 
 
-def _code_layer_terms(h, b, hyper):
-    """Quantization, decorrelation and balance penalties at the code layer, and their gradient in h."""
+def _code_layer_terms(h, b, gram, rowsums, hyper):
+    """Quantization, decorrelation and balance penalties at the code layer, and their gradient in h,
+    from the code-layer Gram matrix h h^T and row sums h 1."""
     m = hyper.n_samples
-    corr = h @ h.T / m - np.eye(h.shape[0])
-    rowsums = h.sum(axis=1)
+    corr = gram / m - np.eye(h.shape[0])
     j = (hyper.lambda2 / (2.0 * m)) * frobenius_sq(h - b)
     j += (hyper.lambda3 / 2.0) * frobenius_sq(corr)
     j += (hyper.lambda4 / (2.0 * m)) * float(np.sum(rowsums ** 2))
@@ -117,7 +117,7 @@ def value_and_grad(params, x, b, hyper):
     w_dec = params.weights[-1]
     resid = np.subtract(x, w_dec @ b)
     resid -= params.biases[-1][:, None]
-    j_code, pull = _code_layer_terms(h, b, hyper)
+    j_code, pull = _code_layer_terms(h, b, h @ h.T, h.sum(axis=1), hyper)
     j = frobenius_sq(resid) / (2.0 * m)
     j += _weight_decay(params, hyper)
     j += j_code

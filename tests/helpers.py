@@ -135,6 +135,18 @@ def naive_hamming(sign_a, sign_b):
     return int(sum(1 for u, v in zip(sign_a, sign_b) if u != v))
 
 
+def hamming_distance(a, b, code_len):
+    """Differing bits among the first code_len bits of two packed codes, bit by bit."""
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    if code_len < 1:
+        raise ValueError("code_len must be >= 1")
+    want = ((code_len + 7) // 8,)
+    if a.shape != want or b.shape != want:
+        raise ValueError("packed codes must be 1-d of %d bytes for %d bits" % (want[0], code_len))
+    return sum(((int(a[j // 8]) ^ int(b[j // 8])) >> (j % 8)) & 1 for j in range(code_len))
+
+
 def brute_force_ap(db_signs, query_sign, gt_indices, top_k=None):
     """AP from a fully materialized (distance, index)-sorted list."""
     m = db_signs.shape[1]
@@ -323,6 +335,20 @@ def separate_evaluate(db_codes, query_codes, gt, radii=(2, 3, 4), top_k=None):
         report.precision_at[r] = mean_p
         report.per_query_precision[r] = per_p
     return report
+
+
+# Oracle for the Euclidean ground truth: the per-query exact scan that the
+# GEMM candidates and rounding certificate of euclidean_knn_gt replaced.
+
+def loop_knn_gt(database, queries, k):
+    """k nearest database columns per query column, ties toward the lower index."""
+    database = np.asarray(database, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    out = []
+    for j in range(queries.shape[1]):
+        d = np.sum((database - queries[:, j][:, None]) ** 2, axis=0)
+        out.append(np.argsort(d, kind="stable")[:k].astype(np.int64))
+    return out
 
 
 # Labelled data for the dependency-free supervised-vs-unsupervised check.

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hashlearn.cli import main
 from hashlearn.dataio import load_codes, load_gt, save_codes, save_gt
 from hashlearn.evaluation import BinaryCodes, label_gt
 from hashlearn.toydata import gaussian_clusters
+
+from helpers import loop_knn_gt
 
 
 def write_csv(path, x, labels=None):
@@ -95,6 +98,27 @@ def test_unsup_train_and_gt_euclid(tmp_path, clusters):
     for idx in gt:
         assert idx.shape == (3,)
         assert idx[0] in range(90)
+
+
+def write_bvecs(path, x):
+    path.write_bytes(b"".join(struct.pack("<i", x.shape[0]) + x[:, j].tobytes() for j in range(x.shape[1])))
+    return str(path)
+
+
+def test_gt_euclid_on_sift_like_bvecs(tmp_path):
+    rng = np.random.default_rng(7)
+    db = rng.integers(0, 256, (128, 600), dtype=np.uint8)
+    db[:, 300:400] = db[:, :100]  # duplicate rows tie exactly
+    queries = np.concatenate([db[:, :5], rng.integers(0, 256, (128, 15), dtype=np.uint8)], axis=1)
+    gt_path = str(tmp_path / "sift.gt")
+    assert main(["gt", "--method", "euclid", "--data", write_bvecs(tmp_path / "db.bvecs", db),
+                 "--queries", write_bvecs(tmp_path / "q.bvecs", queries), "--gt-k", "10", "--out", gt_path]) == 0
+    got = load_gt(gt_path)
+    want = loop_knn_gt(db.astype(np.float64), queries.astype(np.float64), 10)
+    assert len(got) == 20
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert got[0][:2].tolist() == [0, 300]
 
 
 def test_eval_prints_hand_fixture_value(tmp_path, capsys):

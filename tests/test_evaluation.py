@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashlearn.evaluation import (BinaryCodes, euclidean_knn_gt, evaluate, hamming_distance,
-                                  label_gt, mean_average_precision, precision_at_radius,
-                                  validate_ground_truth)
+from hashlearn.evaluation import (BinaryCodes, euclidean_knn_gt, evaluate, label_gt, mean_average_precision,
+                                  precision_at_radius, validate_ground_truth)
 
-from helpers import brute_force_ap, brute_force_precision, naive_hamming, unpack_codes
+from helpers import brute_force_ap, brute_force_precision, hamming_distance, naive_hamming, unpack_codes
 
 
 def codes_from(columns):

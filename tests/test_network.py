@@ -41,8 +41,10 @@ def test_forward_trace_recurrences():
     assert trace.H[0] is x or np.array_equal(trace.H[0], x)
     for i in range(2):
         z = params.weights[i] @ trace.H[i] + params.biases[i][:, None]
-        assert np.array_equal(trace.Z[i], z)
         assert np.array_equal(trace.H[i + 1], activate(params.activations[i], z))
+    for j in range(6):
+        for li, vals in enumerate(naive_forward_column(params, x[:, j], 3)):
+            assert np.max(np.abs(trace.H[li][:, j] - np.array(vals))) < 1e-12
 
 
 def test_forward_upto_partial_depth():

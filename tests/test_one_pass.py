@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hashlearn.evaluation as ev
-from hashlearn.evaluation import BinaryCodes, evaluate, hamming_distance, mean_average_precision, precision_at_radius
+from hashlearn.evaluation import BinaryCodes, evaluate, mean_average_precision, precision_at_radius
 
-from helpers import (POPCOUNT, separate_evaluate, separate_mean_average_precision, separate_precision_at_radius,
-                     table_distances_to_all)
+from helpers import (POPCOUNT, hamming_distance, separate_evaluate, separate_mean_average_precision,
+                     separate_precision_at_radius, table_distances_to_all)
 
 
 def random_case(seed, code_len, n_db, n_q):
