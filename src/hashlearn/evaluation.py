@@ -70,7 +70,10 @@ def _distances(packed, q, code_len):
 def _scan_knn(database, q, k):
     """Exact k nearest columns of one query: every distance by differences, stable sort."""
     d = np.sum((database - q[:, None]) ** 2, axis=0)
-    return np.argsort(d, kind="stable")[:k].astype(np.int64)
+    idx = np.argsort(d, kind="stable")[:k]
+    if not np.isfinite(d[idx[-1]]):
+        raise ValueError("squared distances overflow float64 among the %d nearest columns" % k)
+    return idx.astype(np.int64)
 
 
 def _certified_block(database, block, sq_norms, max_norm, k, n_cand):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hashlearn.linalg import covariance, frobenius_sq, procrustes_rotation, top_eigvecs
-from hashlearn.network import LINEAR, SUPERVISED, UNSUPERVISED, NetworkParams, activate, default_activations, sgn
+from hashlearn.network import UNSUPERVISED, NetworkParams, activate, code_layer, default_activations, sgn
 
 
 @dataclass
@@ -74,7 +74,7 @@ def itq_init(x, code_len, iters, seed):
     return itq_refine(x, code_len, iters, seed).codes
 
 
-def init_network(x, layer_sizes, mode, activations=None):
+def init_network(x, layer_sizes, mode):
     """Deterministic data-driven network initialization.
 
     Every bias starts at zero.  Hidden weight blocks are transposed top
@@ -86,21 +86,13 @@ def init_network(x, layer_sizes, mode, activations=None):
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(layer_sizes)
-    if mode not in (UNSUPERVISED, SUPERVISED):
-        raise ValueError("unknown mode %r" % (mode,))
-    min_layers = 3 if mode == UNSUPERVISED else 2
-    if n < min_layers:
-        raise ValueError("%s networks need at least %d layers" % (mode, min_layers))
+    n_eig = code_layer(mode, n) - 1
     if x.ndim != 2 or x.shape[0] != layer_sizes[0]:
         raise ValueError("data has shape %s, expected (%d, m)" % (x.shape, layer_sizes[0]))
     if mode == UNSUPERVISED and layer_sizes[-1] != layer_sizes[0]:
         raise ValueError("unsupervised output width %d must match input width %d"
                          % (layer_sizes[-1], layer_sizes[0]))
-    if activations is None:
-        activations = default_activations(n, mode)
-    if len(activations) != n - 1:
-        raise ValueError("expected %d activation tags, got %d" % (n - 1, len(activations)))
-    n_eig = n - 2 if mode == UNSUPERVISED else n - 1
+    activations = default_activations(n, mode)
     for i in range(n_eig):
         if layer_sizes[i + 1] > layer_sizes[i]:
             raise ValueError("layer widths must be non-increasing through eigenvector init, "
@@ -118,8 +110,6 @@ def init_network(x, layer_sizes, mode, activations=None):
     if mode == UNSUPERVISED:
         weights.append(np.eye(layer_sizes[-1], layer_sizes[-2]))
         biases.append(np.zeros(layer_sizes[-1]))
-        if activations[-1] != LINEAR:
-            raise ValueError("the reconstruction decoder must be linear")
-    params = NetworkParams(list(layer_sizes), weights, biases, list(activations), mode)
+    params = NetworkParams(list(layer_sizes), weights, biases, activations, mode)
     params.validate()
     return params

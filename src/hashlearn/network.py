@@ -20,16 +20,18 @@ SUPERVISED = "supervised"
 MODES = (UNSUPERVISED, SUPERVISED)
 
 
+def code_layer(mode, n_layers):
+    """1-based index of the code layer: the last layer in supervised mode, the
+    layer before the linear reconstruction decoder in unsupervised mode."""
+    layer = {UNSUPERVISED: n_layers - 1, SUPERVISED: n_layers}.get(mode)
+    if layer is None or layer < 2:
+        raise ValueError("no code layer for mode %r in a %d-layer network" % (mode, n_layers))
+    return layer
+
+
 def default_activations(n_layers, mode):
     """Sigmoid hidden layers; the code layer (and the decoder) stay linear."""
-    if mode == UNSUPERVISED:
-        n_sigmoid = n_layers - 3
-    elif mode == SUPERVISED:
-        n_sigmoid = n_layers - 2
-    else:
-        raise ValueError("unknown mode %r" % (mode,))
-    if n_sigmoid < 0:
-        raise ValueError("network too shallow for mode %r: %d layers" % (mode, n_layers))
+    n_sigmoid = code_layer(mode, n_layers) - 2
     return [SIGMOID] * n_sigmoid + [LINEAR] * (n_layers - 1 - n_sigmoid)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hashlearn.linalg import frobenius_sq
-from hashlearn.network import _forward, sgn, split_flat, through_activation
+from hashlearn.network import SUPERVISED, _forward, sgn, split_flat, through_activation
 from hashlearn.unsupervised import (GradientSet, UnsupHyper, _backprop, _check_objective_inputs, _code_layer_terms,
                                     _weight_decay)
 
@@ -74,7 +74,7 @@ def _indicator_of(s, m):
 
 def check_inputs(params, x, b, hyper):
     """Validate all value_and_grad takes on trust but y; returns x and b as float arrays."""
-    return _check_objective_inputs(params, x, b, hyper, -1)
+    return _check_objective_inputs(params, x, b, hyper, SUPERVISED)
 
 
 def value_and_grad(params, x, b, y, hyper):

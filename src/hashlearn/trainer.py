@@ -1,4 +1,4 @@
-"""Alternating training loops for both hashing modes.
+"""The alternating training loop shared by both hashing modes.
 
 Each run follows the same skeleton: initialize codes with iterative
 quantization and the network from covariance eigenvectors, fit the continuous
@@ -15,7 +15,7 @@ from hashlearn import supervised, unsupervised
 from hashlearn.evaluation import BinaryCodes
 from hashlearn.initialization import init_network, itq_init
 from hashlearn.lbfgs import LbfgsConfig, minimize
-from hashlearn.network import (MODES, SUPERVISED, UNSUPERVISED, NetworkParams, check_finite, forward, sgn,
+from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, check_finite, code_layer, forward, sgn,
                                split_flat)
 
 UNSUP_LAMBDAS = (1e-5, 5e-2, 1e-2, 1e-6)
@@ -90,8 +90,6 @@ class TrainConfig:
         return cfg
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ValueError("mode must be one of %s, got %r" % (MODES, self.mode))
         if self.code_len < 1:
             raise ValueError("code_len must be >= 1")
         if self.max_iter < 1:
@@ -99,22 +97,13 @@ class TrainConfig:
         if self.itq_iters < 0:
             raise ValueError("itq_iters must be >= 0")
         sizes = self.layer_sizes
-        if self.mode == UNSUPERVISED:
-            if len(sizes) < 3:
-                raise ValueError("unsupervised networks need at least 3 layers")
-            if sizes[-2] != self.code_len:
-                raise ValueError("layer before last has width %d, expected the code length %d"
-                                 % (sizes[-2], self.code_len))
-            if sizes[-1] != sizes[0]:
-                raise ValueError("output width %d must match input width %d" % (sizes[-1], sizes[0]))
-        else:
-            if len(sizes) < 2:
-                raise ValueError("supervised networks need at least 2 layers")
-            if sizes[-1] != self.code_len:
-                raise ValueError("last layer has width %d, expected the code length %d"
-                                 % (sizes[-1], self.code_len))
-            if self.n_per_class < 1:
-                raise ValueError("n_per_class must be >= 1 in supervised mode")
+        width = sizes[code_layer(self.mode, len(sizes)) - 1]
+        if width != self.code_len:
+            raise ValueError("code layer has width %d, expected the code length %d" % (width, self.code_len))
+        if self.mode == UNSUPERVISED and sizes[-1] != sizes[0]:
+            raise ValueError("output width %d must match input width %d" % (sizes[-1], sizes[0]))
+        if self.mode == SUPERVISED and self.n_per_class < 1:
+            raise ValueError("n_per_class must be >= 1 in supervised mode")
         self.lbfgs_initial.validate()
         self.lbfgs_subsequent.validate()
 
@@ -171,124 +160,83 @@ def _fold_mean_into_bias(params, mu):
     return out
 
 
-def _alternate(b0, params, config, objective_of, update_codes):
-    """Shared alternation: initial continuous fit, then code/parameter alternation.
-
-    objective_of(params, b) validates the parameters, data and current codes
-    once, then binds them into an unchecked value-and-gradient function;
-    update_codes(params, b) produces the next code matrix.
-    """
-    b = b0
-    res = minimize(_make_objective(params, objective_of(params, b)), _flatten(params), config.lbfgs_initial)
-    params = _rebuild(res.x, params)
-    loss_trace = [res.history[-1]]
-    wc_histories = [list(res.history)]
-    b_step_losses = []
-    best = (loss_trace[0], params, b)
-    aborted = False
-    for _t in range(1, config.max_iter + 1):
-        b = update_codes(params, b)
-        x0 = _flatten(params)
-        fun = _make_objective(params, objective_of(params, b))
-        b_step_losses.append(fun(x0)[0])
-        res = minimize(fun, x0, config.lbfgs_subsequent)
-        params = _rebuild(res.x, params)
-        j = res.history[-1]
-        loss_trace.append(j)
-        wc_histories.append(list(res.history))
-        if j < best[0]:
-            best = (j, params, b)
-        if _should_abort(loss_trace[-2], j):
-            aborted = True
-            _, params, b = best
-            break
-    status = BUDGET_EXHAUSTED if aborted else _final_status(loss_trace)
-    return params, b, loss_trace, status, b_step_losses, wc_histories
-
-
 def train_unsupervised(x, config):
     """Reconstruction-mode training; returns the network and training codes."""
-    config.validate()
-    if config.mode != UNSUPERVISED:
-        raise ValueError("config.mode is %r, expected %r" % (config.mode, UNSUPERVISED))
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != config.layer_sizes[0]:
-        raise ValueError("data has shape %s, expected (%d, m)" % (x.shape, config.layer_sizes[0]))
-    check_finite("x", x)
-    mu = None
-    xt = x
-    if config.center_inputs:
-        mu = x.mean(axis=1)
-        xt = x - mu[:, None]
-    m = xt.shape[1]
-    hyper = unsupervised.UnsupHyper(config.lambda1, config.lambda2, config.lambda3,
-                                    config.lambda4, config.code_len, m)
-    b0 = itq_init(xt, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
-    params = init_network(xt, config.layer_sizes, UNSUPERVISED)
-    n = params.n_layers
-
-    def objective_of(p, b):
-        unsupervised.check_inputs(p, xt, b, hyper)
-        return lambda q: unsupervised.value_and_grad(q, xt, b, hyper)
-
-    def update_codes(p, b):
-        h_code = forward(p, xt, upto=n - 1).H[-1]
-        return unsupervised.b_step(p, xt, h_code, b, hyper)
-
-    params, b, trace, status, b_losses, wc_hist = _alternate(
-        b0, params, config, objective_of, update_codes)
-    if mu is not None:
-        params = _fold_mean_into_bias(params, mu)
-    return TrainResult(params, BinaryCodes.from_sign_matrix(b), trace, status, b_losses, wc_hist)
+    return _train(x, None, config, UNSUPERVISED)
 
 
 def train_supervised(x, labels, config):
     """Pairwise-label training on a per-class subset; returns subset codes too."""
+    return _train(x, labels, config, SUPERVISED)
+
+
+def _train(x, labels, config, mode):
+    """Initial continuous fit at the ITQ codes, then max_iter rounds of a code
+    update followed by a warm-started refit.  The parameters and data are
+    validated once per L-BFGS phase, then bound into an unchecked objective.
+    """
     config.validate()
-    if config.mode != SUPERVISED:
-        raise ValueError("config.mode is %r, expected %r" % (config.mode, SUPERVISED))
+    if config.mode != mode:
+        raise ValueError("config.mode is %r, expected %r" % (config.mode, mode))
     x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] != config.layer_sizes[0]:
         raise ValueError("data has shape %s, expected (%d, m)" % (x.shape, config.layer_sizes[0]))
-    if labels.shape != (x.shape[1],):
-        raise ValueError("labels have shape %s, expected (%d,)" % (labels.shape, x.shape[1]))
     check_finite("x", x)
-    pair = supervised.build_pairwise(labels, config.n_per_class,
-                                     derive_seed(config.seed, "subset-selection"))
-    xs = x[:, pair.sample_indices]
+    subset = None
+    if mode == SUPERVISED:
+        labels = np.asarray(labels)
+        if labels.shape != (x.shape[1],):
+            raise ValueError("labels have shape %s, expected (%d,)" % (labels.shape, x.shape[1]))
+        pair = supervised.build_pairwise(labels, config.n_per_class,
+                                         derive_seed(config.seed, "subset-selection"))
+        subset = pair.sample_indices
+        x = x[:, subset]
     mu = None
     if config.center_inputs:
-        mu = xs.mean(axis=1)
-        xs = xs - mu[:, None]
-    m = xs.shape[1]
-    hyper = supervised.SupHyper(config.lambda1, config.lambda2, config.lambda3,
-                                config.lambda4, config.code_len, m)
-    b0 = itq_init(xs, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
-    params = init_network(xs, config.layer_sizes, SUPERVISED)
-    n = params.n_layers
-
-    def objective_of(p, b):
-        supervised.check_inputs(p, xs, b, hyper)
-        return lambda q: supervised.value_and_grad(q, xs, b, pair.indicator, hyper)
-
-    def update_codes(p, b):
-        h_code = forward(p, xs, upto=n).H[-1]
-        return supervised.b_step(h_code)
-
-    params, b, trace, status, b_losses, wc_hist = _alternate(
-        b0, params, config, objective_of, update_codes)
+        mu = x.mean(axis=1)
+        x = x - mu[:, None]
+    hyper = unsupervised.UnsupHyper(config.lambda1, config.lambda2, config.lambda3,
+                                    config.lambda4, config.code_len, x.shape[1])
+    b = itq_init(x, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
+    params = init_network(x, config.layer_sizes, mode)
+    layer = code_layer(mode, params.n_layers)
+    loss_trace, wc_histories = [], []
+    for t in range(config.max_iter + 1):
+        if t:
+            h_code = forward(params, x, upto=layer).H[-1]
+            if mode == UNSUPERVISED:
+                b = unsupervised.b_step(params, x, h_code, b, hyper)
+            else:
+                b = supervised.b_step(h_code)
+        if mode == UNSUPERVISED:
+            unsupervised.check_inputs(params, x, b, hyper)
+            fun = _make_objective(params, lambda q: unsupervised.value_and_grad(q, x, b, hyper))
+        else:
+            supervised.check_inputs(params, x, b, hyper)
+            fun = _make_objective(params, lambda q: supervised.value_and_grad(q, x, b, pair.indicator, hyper))
+        res = minimize(fun, _flatten(params), config.lbfgs_subsequent if t else config.lbfgs_initial)
+        params = _rebuild(res.x, params)
+        loss_trace.append(res.history[-1])
+        wc_histories.append(res.history)
+        if not t or loss_trace[-1] < best[0]:
+            best = (loss_trace[-1], params, b)
+        if t and _should_abort(loss_trace[-2], loss_trace[-1]):
+            _, params, b = best
+            status = BUDGET_EXHAUSTED
+            break
+    else:
+        status = _final_status(loss_trace)
     if mu is not None:
         params = _fold_mean_into_bias(params, mu)
-    return TrainResult(params, BinaryCodes.from_sign_matrix(b), trace, status, b_losses, wc_hist,
-                       subset_indices=pair.sample_indices)
+    # each refit's history starts with the objective right after the code update
+    b_step_losses = [hist[0] for hist in wc_histories[1:]]
+    return TrainResult(params, BinaryCodes.from_sign_matrix(b), loss_trace, status, b_step_losses, wc_histories,
+                       subset_indices=subset)
 
 
 def encode(params, x_new):
     """Binary codes for new samples: forward to the code layer, take signs."""
     x_new = np.asarray(x_new, dtype=np.float64)
     check_finite("x_new", x_new)
-    n = params.n_layers
-    upto = n - 1 if params.mode == UNSUPERVISED else n
-    trace = forward(params, x_new, upto=upto)
+    trace = forward(params, x_new, upto=code_layer(params.mode, params.n_layers))
     return BinaryCodes.from_sign_matrix(sgn(trace.H[-1]))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hashlearn.linalg import frobenius_sq
-from hashlearn.network import _forward, split_flat, through_activation
+from hashlearn.network import UNSUPERVISED, _forward, code_layer, split_flat, through_activation
 
 
 @dataclass(frozen=True)
@@ -54,23 +54,22 @@ def _check_codes(b, code_len, n_samples):
     return b
 
 
-def _check_objective_inputs(params, x, b, hyper, code_layer):
+def _check_objective_inputs(params, x, b, hyper, mode):
     """The checks value_and_grad skips, shared by both modes; returns x and b as float arrays."""
     hyper.validate()
     params.validate()
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.layer_sizes[0], hyper.n_samples):
         raise ValueError("x has shape %s, expected (%d, %d)" % (x.shape, params.layer_sizes[0], hyper.n_samples))
-    if params.layer_sizes[code_layer] != hyper.code_len:
-        raise ValueError("code layer has width %d, expected %d" % (params.layer_sizes[code_layer], hyper.code_len))
+    width = params.layer_sizes[code_layer(mode, params.n_layers) - 1]
+    if width != hyper.code_len:
+        raise ValueError("code layer has width %d, expected %d" % (width, hyper.code_len))
     return x, _check_codes(b, hyper.code_len, hyper.n_samples)
 
 
 def check_inputs(params, x, b, hyper):
     """Validate everything value_and_grad takes on trust; returns x and b as float arrays."""
-    if params.n_layers < 3:
-        raise ValueError("unsupervised networks need at least 3 layers")
-    return _check_objective_inputs(params, x, b, hyper, -2)
+    return _check_objective_inputs(params, x, b, hyper, UNSUPERVISED)
 
 
 def _code_layer_terms(h, b, gram, rowsums, hyper):

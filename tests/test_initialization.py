@@ -125,9 +125,4 @@ def test_init_network_rejects_bad_configs():
     with pytest.raises(ValueError):
         init_network(x, [4, 3, 2, 4], "other")
     with pytest.raises(ValueError):
-        init_network(x, [4, 3, 2, 4], UNSUPERVISED, activations=[SIGMOID, LINEAR])
-    with pytest.raises(ValueError):
-        init_network(x, [4, 3, 2, 4], UNSUPERVISED,
-                     activations=[SIGMOID, LINEAR, SIGMOID])  # nonlinear decoder
-    with pytest.raises(ValueError):
         init_network(x[:3], [4, 3, 2, 4], UNSUPERVISED)

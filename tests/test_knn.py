@@ -128,3 +128,22 @@ def test_peak_memory_within_the_scan():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+
+
+def test_overflowing_distances_raise():
+    """Both squared distances overflow to inf, so no ranking of the two columns can be told."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+        euclidean_knn_gt([[1e200, 3e200]], [[2.9e200]], 2)
+
+
+def test_an_overflowing_outlier_beyond_k_still_ranks_as_the_scan(monkeypatch):
+    """The outlier's infinite norm fails every certificate; its infinite distance ranks last."""
+    calls = counting_scan(monkeypatch)
+    database, queries = knn_case(4, "float", 4, 60, 3, 60, False)
+    database[:, 17] = 1e200
+    with np.errstate(over="ignore"):
+        got = euclidean_knn_gt(database, queries, 5)
+        want = loop_knn_gt(database, queries, 5)
+    assert len(calls) == 3
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

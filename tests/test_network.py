@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashlearn.network import (LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, NetworkParams,
-                               activate, default_activations, forward, sgn)
+                               activate, code_layer, default_activations, forward, sgn)
 
 from helpers import naive_forward_column, random_params
 
@@ -134,3 +134,8 @@ class TestSgn:
 def test_default_activations_layout():
     assert default_activations(5, UNSUPERVISED) == [SIGMOID, SIGMOID, LINEAR, LINEAR]
     assert default_activations(4, SUPERVISED) == [SIGMOID, SIGMOID, LINEAR]
+    assert [code_layer(UNSUPERVISED, 3), code_layer(UNSUPERVISED, 5)] == [2, 4]
+    assert [code_layer(SUPERVISED, 2), code_layer(SUPERVISED, 4)] == [2, 4]
+    for mode, n_layers in ((UNSUPERVISED, 2), (SUPERVISED, 1), ("other", 4)):
+        with pytest.raises(ValueError, match="no code layer"):
+            code_layer(mode, n_layers)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hashlearn.unsupervised as unsup
 from hashlearn.evaluation import BinaryCodes
 from hashlearn.lbfgs import LbfgsConfig, minimize
-from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, forward, sgn, split_flat
+from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, code_layer, forward, sgn, split_flat
 from hashlearn.toydata import gaussian_clusters
 from hashlearn.trainer import (SUP_LAMBDAS, UNSUP_LAMBDAS, TrainConfig, _final_status, _flatten,
                                _make_objective, _rebuild, _should_abort, default_layer_sizes, derive_seed, encode,
@@ -207,18 +207,27 @@ def test_encode_rejects_bad_mode_and_shape():
         encode(res.params, x[:4])
 
 
-def test_center_inputs_matches_manual_centering():
-    x, _ = gaussian_clusters(6, 60, 3, seed=9)
-    cfg_raw = small_unsup_config(6, 4, center_inputs=True)
-    cfg_pre = small_unsup_config(6, 4)
-    res_raw = train_unsupervised(x, cfg_raw)
-    res_pre = train_unsupervised(x - x.mean(axis=1)[:, None], cfg_pre)
+@pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
+def test_center_inputs_matches_manual_centering(mode):
+    """Centring inside training equals training on pre-centred data (in supervised mode,
+    centred by the mean of the per-class subset), once the mean is folded into the first bias."""
+    x, labels = gaussian_clusters(6, 60, 3, seed=9)
+
+    def train(data, **overrides):
+        if mode == UNSUPERVISED:
+            return train_unsupervised(data, small_unsup_config(6, 4, **overrides))
+        return train_supervised(data, labels, small_sup_config(6, 4, n_per_class=10, **overrides))
+
+    res_raw = train(x, center_inputs=True)
+    subset = slice(None) if mode == UNSUPERVISED else res_raw.subset_indices
+    x_pre = x - x[:, subset].mean(axis=1)[:, None]
+    res_pre = train(x_pre)
     assert res_raw.loss_trace == res_pre.loss_trace
     assert np.array_equal(res_raw.codes.packed, res_pre.codes.packed)
     # the folded first bias makes the raw-input forward match the centered one
-    n = res_raw.params.n_layers
-    h_raw = forward(res_raw.params, x, upto=n - 1).H[-1]
-    h_pre = forward(res_pre.params, x - x.mean(axis=1)[:, None], upto=n - 1).H[-1]
+    layer = code_layer(mode, res_raw.params.n_layers)
+    h_raw = forward(res_raw.params, x, upto=layer).H[-1]
+    h_pre = forward(res_pre.params, x_pre, upto=layer).H[-1]
     assert np.allclose(h_raw, h_pre, rtol=1e-9, atol=1e-9)
 
 
