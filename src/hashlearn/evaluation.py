@@ -58,13 +58,23 @@ class BinaryCodes:
                 raise ValueError("padding bits beyond the code length must be zero")
 
 
-def _distances(packed, q, code_len):
-    """Hamming distances from packed code q to each packed row (or to one 1-d code).
+def _words(codes):
+    """The packed codes as (count, words) uint64, zero-padded to whole 64-bit words."""
+    padded = np.zeros((codes.count, -(-codes.code_len // 64) * 8), dtype=np.uint8)
+    padded[:, :codes.packed.shape[1]] = codes.packed
+    return padded.view(np.uint64)
 
-    Summed in the smallest unsigned type that holds code_len, so for L <= 255
-    the stable argsort over the result is numpy's radix sort.
+
+def _distances(words, q, code_len):
+    """Hamming distances from the word-form code q to each row of words.
+
+    Added word by word in the smallest unsigned type that holds code_len, so
+    for L <= 255 the stable argsort over the result is numpy's radix sort.
     """
-    return np.bitwise_count(np.bitwise_xor(packed, q)).sum(axis=-1, dtype=np.min_scalar_type(code_len))
+    d = np.bitwise_count(words[:, 0] ^ q[0]).astype(np.min_scalar_type(code_len), copy=False)
+    for j in range(1, words.shape[1]):
+        d += np.bitwise_count(words[:, j] ^ q[j])
+    return d
 
 
 def _scan_knn(database, q, k):
@@ -154,6 +164,8 @@ def validate_ground_truth(gt, db_size, n_queries):
         raise ValueError("ground truth covers %d queries, expected %d" % (len(gt), n_queries))
     for qi, idx in enumerate(gt):
         idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError("ground truth for query %d holds %s, not integer indices" % (qi, idx.dtype))
         if idx.size and (idx.min() < 0 or idx.max() >= db_size):
             raise ValueError("ground truth for query %d has indices outside [0, %d)" % (qi, db_size))
         if np.unique(idx).size != idx.size:
@@ -177,9 +189,10 @@ def _mean(values):
 def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
     """Validate once, then one Hamming pass per query.
 
-    Each query's distances and relevance mask are computed once; the AP of
-    the stable ranking (ties toward the lower index, capped at top_k) and the
-    precision of the ball of each radius all derive from them.  Returns
+    Each query's distances are computed once, on 64-bit words.  The AP of the
+    stable ranking (ties toward the lower index, capped at top_k) comes from
+    the ranks of the relevant items; the precision of the ball of each radius
+    from cumulative histograms of all and of the relevant distances.  Returns
     (per_query_ap, [per_query_precision for each radius]); the AP list is
     empty unless with_ap.
     """
@@ -193,20 +206,24 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
         raise ValueError("radius must be >= 0")
     validate_ground_truth(gt, db_codes.count, query_codes.count)
     aps, precisions = [], [[] for _ in radii]
-    for q, gt_q in zip(query_codes.packed, gt):
-        d = _distances(db_codes.packed, q, db_codes.code_len)
+    code_len = db_codes.code_len
+    db_words = _words(db_codes)
+    for q, gt_q in zip(_words(query_codes), gt):
+        d = _distances(db_words, q, code_len)
         gt_q = np.asarray(gt_q, dtype=np.int64)
-        rel = np.zeros(db_codes.count, dtype=bool)
-        rel[gt_q] = True
         if with_ap:
-            rel_at_rank = rel[np.argsort(d, kind="stable")[:top_k]]
-            hits = np.cumsum(rel_at_rank)
-            ranks = np.flatnonzero(rel_at_rank) + 1
-            aps.append(float(np.sum(hits[rel_at_rank] / ranks)) / gt_q.size if gt_q.size else 0.0)
-        for per_r, r in zip(precisions, radii):
-            within = d <= r
-            n_retrieved = int(within.sum())
-            per_r.append(float(np.sum(within & rel)) / n_retrieved if n_retrieved else 0.0)
+            rel = np.zeros(db_codes.count, dtype=bool)
+            rel[gt_q] = True
+            # the t-th relevant item in the ranking has t hits
+            ranks = np.flatnonzero(rel[np.argsort(d, kind="stable")[:top_k]]) + 1
+            aps.append(float(np.sum(np.arange(1, ranks.size + 1) / ranks)) / gt_q.size if gt_q.size else 0.0)
+        if radii:
+            n_within = np.cumsum(np.bincount(d, minlength=code_len + 1))
+            rel_within = np.cumsum(np.bincount(d[gt_q], minlength=code_len + 1))
+            for per_r, r in zip(precisions, radii):
+                r = int(min(r, code_len))
+                n_retrieved = int(n_within[r])
+                per_r.append(float(rel_within[r]) / n_retrieved if n_retrieved else 0.0)
     return aps, precisions
 
 

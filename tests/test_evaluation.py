@@ -167,6 +167,12 @@ def test_validate_ground_truth_errors():
         validate_ground_truth([[3]], db_size=3, n_queries=1)
     with pytest.raises(ValueError):
         validate_ground_truth([[1, 1]], db_size=3, n_queries=1)
+    # float and bool index arrays would be truncated or miscounted, not ranked
+    with pytest.raises(ValueError, match="query 1 holds float64"):
+        validate_ground_truth([[0], np.array([0.2, 0.9])], db_size=3, n_queries=2)
+    with pytest.raises(ValueError, match="query 0 holds bool"):
+        validate_ground_truth([np.array([True, False, True])], db_size=3, n_queries=1)
+    validate_ground_truth([[], np.array([], dtype=np.uint32)], db_size=3, n_queries=2)
 
 
 def test_map_perfect_ranking():

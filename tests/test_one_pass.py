@@ -28,9 +28,9 @@ def random_case(seed, code_len, n_db, n_q):
     return db, q, gt
 
 
-@given(seed=st.integers(0, 2**31 - 1), code_len=st.integers(1, 130), n_db=st.integers(0, 200),
+@given(seed=st.integers(0, 2**31 - 1), code_len=st.integers(1, 300), n_db=st.integers(0, 200),
        n_q=st.integers(0, 5), top_k=st.one_of(st.none(), st.integers(1, 210)),
-       radii=st.lists(st.integers(0, 140), max_size=6))
+       radii=st.lists(st.integers(0, 310), max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_one_pass_bit_identical_to_separate_loops(seed, code_len, n_db, n_q, top_k, radii):
     db, q, gt = random_case(seed, code_len, n_db, n_q)
@@ -44,12 +44,35 @@ def test_one_pass_bit_identical_to_separate_loops(seed, code_len, n_db, n_q, top
 @pytest.mark.parametrize("code_len", [1, 7, 8, 63, 64, 65, 255, 256, 300])
 def test_distances_match_popcount_table(code_len):
     db, q, _ = random_case(code_len, code_len, 30, 3)
-    for row in q.packed:
+    db_words, q_words = ev._words(db), ev._words(q)
+    assert db_words.shape == (30, (code_len + 63) // 64) and db_words.dtype == np.uint64
+    for row, q_row in zip(q.packed, q_words):
         want = table_distances_to_all(row, db)
-        assert np.array_equal(ev._distances(db.packed, row, code_len), want)
+        assert np.array_equal(ev._distances(db_words, q_row, code_len), want)
         assert [hamming_distance(row, other, code_len) for other in db.packed] == want.tolist()
     # uint8 sums (radix sort) up to 255 bits, wider beyond
-    assert ev._distances(db.packed, q.packed[0], code_len).dtype == (np.uint8 if code_len <= 255 else np.uint16)
+    assert ev._distances(db_words, q_words[0], code_len).dtype == (np.uint8 if code_len <= 255 else np.uint16)
+
+
+def per_query_values(db, q, gt, radius):
+    report = evaluate(db, q, gt, radii=(radius, db.code_len + 3))
+    values = report.per_query_ap + [v for per_r in report.per_query_precision.values() for v in per_r]
+    return values + mean_average_precision(db, q, gt, top_k=5)[1] + precision_at_radius(db, q, gt, radius)[1]
+
+
+@pytest.mark.parametrize("code_len", [1, 64, 65, 300])
+def test_per_query_values_are_python_floats(code_len):
+    # eval.json serialises these lists; an np.float64 passes every == oracle but not this
+    db, q, gt = random_case(code_len + 1, code_len, 40, 4)
+    gt[0] = []
+    values = per_query_values(db, q, gt, 2)
+    # all codes +1 against a query of all -1: radius 0 retrieves nothing
+    far_db = BinaryCodes.from_sign_matrix(np.ones((code_len, 3)))
+    far_q = BinaryCodes.from_sign_matrix(-np.ones((code_len, 2)))
+    far_values = per_query_values(far_db, far_q, [[], [1, 2]], 0)
+    assert far_values[2:4] == far_values[8:] == [0.0, 0.0]  # empty balls
+    assert len(values) == 4 * 5 and len(far_values) == 2 * 5
+    assert all(type(v) is float for v in values + far_values)
 
 
 def test_hamming_distance_ignores_padding_bits():
