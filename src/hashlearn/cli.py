@@ -9,9 +9,7 @@ import json
 import sys
 import time
 
-import numpy as np
-
-from hashlearn import dataio, trainer
+from hashlearn import dataio
 from hashlearn.evaluation import euclidean_knn_gt, evaluate, label_gt
 from hashlearn.network import SUPERVISED, UNSUPERVISED
 from hashlearn.trainer import TrainConfig, encode as encode_codes, train_supervised, train_unsupervised
@@ -19,24 +17,17 @@ from hashlearn.trainer import TrainConfig, encode as encode_codes, train_supervi
 _MODE_ALIASES = {"unsup": UNSUPERVISED, "unsupervised": UNSUPERVISED,
                  "sup": SUPERVISED, "supervised": SUPERVISED}
 
-TRAIN_DEFAULTS = {
-    "mode": "unsup",
-    "format": "auto",
-    "bits": 16,
-    "layers": None,
-    "lambda1": None,
-    "lambda2": None,
-    "lambda3": None,
-    "lambda4": None,
-    "max_iter": None,
-    "ns": trainer.DEFAULT_PER_CLASS,
-    "seed": 42,
-    "center": False,
-    "itq_iters": trainer.DEFAULT_ITQ_ITERS,
-}
+# train flags that set the TrainConfig field of the same name (or the one _FIELD_OF_FLAG names);
+# a flag left unset leaves TrainConfig's default
+_CONFIG_FLAGS = ("lambda1", "lambda2", "lambda3", "lambda4", "max_iter", "ns", "seed", "center", "itq_iters")
+_FIELD_OF_FLAG = {"ns": "n_per_class", "center": "center_inputs"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
-def _parse_config_file(path):
+def _parse_config_file(path, known):
+    """key = value lines ('#' comments) for the train flags named in known; values stay
+    strings for argparse to convert, except center, which is a boolean."""
     out = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
@@ -45,37 +36,16 @@ def _parse_config_file(path):
                 continue
             if "=" not in line:
                 raise ValueError("%s:%d: expected key = value" % (path, lineno))
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key, value = (t.strip() for t in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in known:
+                raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
+            if key == "center":
+                if value.lower() not in _BOOLEANS:
+                    raise ValueError("%s:%d: center: cannot parse %r as a boolean" % (path, lineno, value))
+                value = _BOOLEANS[value.lower()]
+            out[key] = value
     return out
-
-
-def _coerce(key, value, like):
-    if isinstance(value, str):
-        if isinstance(like, bool):
-            if value.lower() in ("1", "true", "yes", "on"):
-                return True
-            if value.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError("flag %s: cannot parse %r as a boolean" % (key, value))
-        if isinstance(like, int):
-            return int(value)
-        if isinstance(like, float):
-            return float(value)
-    return value
-
-
-def _merge_config(defaults, file_values, flag_values):
-    merged = dict(defaults)
-    for key, value in file_values.items():
-        if key not in merged and key not in ("data", "labels", "out", "codes_out", "report"):
-            raise ValueError("config file: unknown key %r" % (key,))
-        like = merged.get(key)
-        merged[key] = _coerce(key, value, like if like is not None else "")
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    return merged
 
 
 def _parse_layers(text):
@@ -88,40 +58,27 @@ def _parse_layers(text):
     return sizes
 
 
-def _load_features(merged, data_key="data", labels_key="labels"):
-    path = merged.get(data_key)
+def _load_features(args, data_key="data", labels_key="labels"):
+    path = getattr(args, data_key)
     if not path:
         raise ValueError("--%s is required" % data_key.replace("_", "-"))
-    labels_path = merged.get(labels_key)
+    labels_path = getattr(args, labels_key)
     csv_labels = labels_path == "last"
-    return dataio.load_dataset(path, merged.get("format", "auto"),
-                               labels_path=None if csv_labels else labels_path,
+    return dataio.load_dataset(path, args.format, labels_path=None if csv_labels else labels_path,
                                csv_labels=csv_labels)
 
 
-def _train_config_from(merged, n_dims):
-    mode = _MODE_ALIASES.get(str(merged["mode"]).lower())
+def _train_config_from(args, n_dims):
+    mode = _MODE_ALIASES.get(str(args.mode).lower())
     if mode is None:
-        raise ValueError("--mode: expected unsup or sup, got %r" % (merged["mode"],))
-    bits = int(merged["bits"])
-    hidden = _parse_layers(merged["layers"]) if merged["layers"] is not None else None
-    overrides = {}
-    for i in (1, 2, 3, 4):
-        v = merged["lambda%d" % i]
-        if v is not None:
-            overrides["lambda%d" % i] = float(v)
-    if merged["max_iter"] is not None:
-        overrides["max_iter"] = int(merged["max_iter"])
-    cfg = TrainConfig.defaults(mode, n_dims, bits, hidden=hidden, **overrides)
-    cfg.n_per_class = int(merged["ns"])
-    cfg.seed = int(merged["seed"])
-    cfg.center_inputs = bool(merged["center"])
-    cfg.itq_iters = int(merged["itq_iters"])
-    cfg.validate()
-    return cfg
+        raise ValueError("--mode: expected unsup or sup, got %r" % (args.mode,))
+    hidden = _parse_layers(args.layers) if args.layers is not None else None
+    overrides = {_FIELD_OF_FLAG.get(flag, flag): getattr(args, flag) for flag in _CONFIG_FLAGS
+                 if getattr(args, flag) is not None}
+    return TrainConfig.defaults(mode, n_dims, args.bits, hidden=hidden, **overrides)
 
 
-def _effective_config(cfg, merged):
+def _effective_config(cfg, args):
     return {
         "mode": cfg.mode,
         "bits": cfg.code_len,
@@ -135,9 +92,9 @@ def _effective_config(cfg, merged):
         "seed": cfg.seed,
         "center": cfg.center_inputs,
         "itq_iters": cfg.itq_iters,
-        "data": merged.get("data"),
-        "labels": merged.get("labels"),
-        "format": merged.get("format", "auto"),
+        "data": args.data,
+        "labels": args.labels,
+        "format": args.format,
     }
 
 
@@ -147,16 +104,11 @@ def _derived_path(out, suffix):
 
 
 def cmd_train(args):
-    merged = _merge_config(TRAIN_DEFAULTS, _parse_config_file(args.config) if args.config else {},
-                           {k: getattr(args, k) for k in
-                            ("mode", "data", "labels", "format", "bits", "layers", "lambda1",
-                             "lambda2", "lambda3", "lambda4", "max_iter", "ns", "seed",
-                             "center", "itq_iters", "out", "codes_out", "report")})
-    out = merged.get("out")
+    out = args.out
     if not out:
         raise ValueError("--out is required")
-    dataset = _load_features(merged)
-    cfg = _train_config_from(merged, dataset.n_dims)
+    dataset = _load_features(args)
+    cfg = _train_config_from(args, dataset.n_dims)
     t0 = time.perf_counter()
     if cfg.mode == UNSUPERVISED:
         result = train_unsupervised(dataset.x, cfg)
@@ -166,13 +118,13 @@ def cmd_train(args):
         result = train_supervised(dataset.x, dataset.labels, cfg)
     elapsed = time.perf_counter() - t0
 
-    codes_path = merged.get("codes_out") or _derived_path(out, ".dhcb")
-    report_path = merged.get("report") or _derived_path(out, ".json")
+    codes_path = args.codes_out or _derived_path(out, ".dhcb")
+    report_path = args.report or _derived_path(out, ".json")
     dataio.save_model(result.params, out)
     dataio.save_codes(result.codes, codes_path)
     report = {
         "command": "train",
-        "config": _effective_config(cfg, merged),
+        "config": _effective_config(cfg, args),
         "status": result.status,
         "loss_trace": result.loss_trace,
         "b_step_losses": result.b_step_losses,
@@ -192,7 +144,7 @@ def cmd_train(args):
 
 def cmd_encode(args):
     params = dataio.load_model(args.model)
-    dataset = _load_features(vars(args))
+    dataset = _load_features(args)
     if dataset.n_dims != params.layer_sizes[0]:
         raise ValueError("data is %d-dimensional but the model expects %d"
                          % (dataset.n_dims, params.layer_sizes[0]))
@@ -203,16 +155,11 @@ def cmd_encode(args):
 
 
 def cmd_gt(args):
+    db = _load_features(args)
+    queries = _load_features(args, "queries", "query_labels")
     if args.method == "euclid":
-        db = _load_features(vars(args))
-        queries = dataio.load_dataset(args.queries, args.format)
         gt = euclidean_knn_gt(db.x, queries.x, args.gt_k)
     else:
-        db = _load_features(vars(args))
-        qlabels_path = args.query_labels
-        queries = dataio.load_dataset(args.queries, args.format,
-                                      labels_path=None if qlabels_path == "last" else qlabels_path,
-                                      csv_labels=qlabels_path == "last")
         if db.labels is None or queries.labels is None:
             raise ValueError("label ground truth needs labels on both sides "
                              "(--labels / --query-labels, or 'last' for CSV)")
@@ -248,19 +195,20 @@ def cmd_eval(args):
     return 0
 
 
-def _build_parser():
+def _build_parser(train_defaults=None):
+    """The argument parser; train_defaults (config-file values) replace the train flags' defaults."""
     parser = argparse.ArgumentParser(prog="hashlearn",
                                      description="deep-network binary hashing and retrieval evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a hashing network")
     p_train.add_argument("--config", help="key = value config file")
-    p_train.add_argument("--mode", choices=sorted(_MODE_ALIASES), default=None)
+    p_train.add_argument("--mode", choices=sorted(_MODE_ALIASES), default="unsup")
     p_train.add_argument("--data", default=None)
     p_train.add_argument("--labels", default=None,
                          help="label file for idx data, or 'last' for a CSV label column")
-    p_train.add_argument("--format", choices=("auto", "idx", "fvecs", "bvecs", "csv"), default=None)
-    p_train.add_argument("--bits", type=int, default=None)
+    p_train.add_argument("--format", choices=("auto", "idx", "fvecs", "bvecs", "csv"), default="auto")
+    p_train.add_argument("--bits", type=int, default=16)
     p_train.add_argument("--layers", default=None, help="comma-separated hidden widths, e.g. 90,30")
     for i in (1, 2, 3, 4):
         p_train.add_argument("--lambda%d" % i, type=float, default=None)
@@ -273,7 +221,7 @@ def _build_parser():
     p_train.add_argument("--out", default=None, help="model output path")
     p_train.add_argument("--codes-out", dest="codes_out", default=None)
     p_train.add_argument("--report", default=None, help="JSON run report path")
-    p_train.set_defaults(run=cmd_train)
+    p_train.set_defaults(run=cmd_train, **(train_defaults or {}))
 
     p_encode = sub.add_parser("encode", help="encode data with a trained model")
     p_encode.add_argument("--model", required=True)
@@ -307,9 +255,13 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # re-parse with the file's values as defaults: flags still win, and
+            # argparse converts each value by its flag's own type
+            known = set(vars(args)) - {"command", "config", "run"}
+            args = _build_parser(_parse_config_file(args.config, known)).parse_args(argv)
         return args.run(args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

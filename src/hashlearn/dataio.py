@@ -260,8 +260,10 @@ def load_codes(path):
 
 
 def save_gt(gt, path):
-    for idx in gt:
+    for qi, idx in enumerate(gt):
         idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError("ground truth for query %d holds %s, not integer indices" % (qi, idx.dtype))
         if idx.size and (idx.min() < 0 or idx.max() > 0xFFFFFFFF):
             raise ValueError("ground-truth indices must fit in uint32")
     with open(path, "wb") as f:

@@ -6,6 +6,7 @@ least-significant first.  Code i occupies ceil(L / 8) bytes and padding bits
 beyond L are zero.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,8 +187,20 @@ def _mean(values):
     return float(np.mean(values)) if values else 0.0
 
 
+def _whole_radii(radii):
+    """The radii as Python ints; a fractional or negative radius is an error."""
+    out = []
+    for r in radii:
+        if not (isinstance(r, numbers.Integral) or float(r).is_integer()):
+            raise ValueError("radius must be a whole number, got %r" % (r,))
+        if r < 0:
+            raise ValueError("radius must be >= 0, got %r" % (r,))
+        out.append(int(r))
+    return out
+
+
 def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
-    """Validate once, then one Hamming pass per query.
+    """Validate once, then one Hamming pass per query; radii come from _whole_radii.
 
     Each query's distances are computed once, on 64-bit words.  The AP of the
     stable ranking (ties toward the lower index, capped at top_k) comes from
@@ -202,8 +215,6 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
         raise ValueError("database and query codes have different lengths")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be >= 1 when given")
-    if any(r < 0 for r in radii):
-        raise ValueError("radius must be >= 0")
     validate_ground_truth(gt, db_codes.count, query_codes.count)
     aps, precisions = [], [[] for _ in radii]
     code_len = db_codes.code_len
@@ -221,7 +232,7 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
             n_within = np.cumsum(np.bincount(d, minlength=code_len + 1))
             rel_within = np.cumsum(np.bincount(d[gt_q], minlength=code_len + 1))
             for per_r, r in zip(precisions, radii):
-                r = int(min(r, code_len))
+                r = min(r, code_len)
                 n_retrieved = int(n_within[r])
                 per_r.append(float(rel_within[r]) / n_retrieved if n_retrieved else 0.0)
     return aps, precisions
@@ -244,13 +255,13 @@ def precision_at_radius(db_codes, query_codes, gt, radius):
     A query retrieving nothing at this radius scores 0.  Returns
     (mean_precision, per_query_precision).
     """
-    _, (precisions,) = _one_pass(db_codes, query_codes, gt, radii=(radius,), with_ap=False)
+    _, (precisions,) = _one_pass(db_codes, query_codes, gt, radii=_whole_radii((radius,)), with_ap=False)
     return _mean(precisions), precisions
 
 
 def evaluate(db_codes, query_codes, gt, radii=(2, 3, 4), top_k=None):
     """Full report: mAP plus precision at each requested Hamming radius, from one pass."""
-    radii = sorted(set(int(r) for r in radii))
+    radii = sorted(set(_whole_radii(radii)))
     aps, precisions = _one_pass(db_codes, query_codes, gt, top_k, radii)
     return EvalReport(_mean(aps), {r: _mean(p) for r, p in zip(radii, precisions)}, per_query_ap=aps,
                       per_query_precision=dict(zip(radii, precisions)), top_k=top_k, radii=radii)

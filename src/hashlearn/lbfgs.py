@@ -8,23 +8,10 @@ GRADIENT_CONVERGED = "gradient-converged"
 MAX_ITERS = "max-iters"
 LINE_SEARCH_FAILED = "line-search-failed"
 
-_MAX_BACKTRACKS = 30  # step halvings before the line search gives up
-
-
-@dataclass
-class LbfgsConfig:
-    memory: int = 10
-    max_iters: int = 100
-    grad_tol: float = 1e-8
-    sufficient_decrease: float = 1e-4  # Armijo constant
-
-    def validate(self):
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1, got %d" % self.memory)
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0, got %d" % self.max_iters)
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ValueError("need 0 < sufficient_decrease < 1")
+_MEMORY = 10                 # curvature pairs kept
+_GRAD_TOL = 1e-8             # gradient norm that counts as converged
+_SUFFICIENT_DECREASE = 1e-4  # Armijo constant
+_MAX_BACKTRACKS = 30         # step halvings before the line search gives up
 
 
 @dataclass
@@ -49,8 +36,9 @@ def _two_loop(g, s_list, y_list, rho_list, gamma):
     return q
 
 
-def minimize(fun, x0, config=None):
-    """Minimize fun(x) -> (value, gradient) starting from the 1-d float vector x0.
+def minimize(fun, x0, max_iters):
+    """Minimize fun(x) -> (value, gradient) starting from the 1-d float vector x0,
+    taking at most max_iters accepted steps.
 
     Line search is backtracking with the Armijo sufficient-decrease test, so
     the recorded history is non-increasing.  Curvature pairs are admitted to
@@ -58,8 +46,8 @@ def minimize(fun, x0, config=None):
     implicit Hessian approximation positive definite.  Returns the best point
     seen together with the history and a termination status.
     """
-    cfg = config or LbfgsConfig()
-    cfg.validate()
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0, got %d" % max_iters)
     x = np.array(x0, dtype=np.float64)
     fx, g = fun(x)
     fx = float(fx)
@@ -75,8 +63,8 @@ def minimize(fun, x0, config=None):
     gamma = 1.0
     status = MAX_ITERS
 
-    for _ in range(cfg.max_iters):
-        if float(np.linalg.norm(g)) < cfg.grad_tol:
+    for _ in range(max_iters):
+        if float(np.linalg.norm(g)) < _GRAD_TOL:
             status = GRADIENT_CONVERGED
             break
         d = -_two_loop(g, s_list, y_list, rho_list, gamma)
@@ -97,7 +85,7 @@ def minimize(fun, x0, config=None):
             f_new = float(f_new)
             g_new = np.asarray(g_new, dtype=np.float64)
             if np.isfinite(f_new) and np.all(np.isfinite(g_new)) \
-                    and f_new <= fx + cfg.sufficient_decrease * t * slope:
+                    and f_new <= fx + _SUFFICIENT_DECREASE * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -112,7 +100,7 @@ def minimize(fun, x0, config=None):
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
-            if len(s_list) > cfg.memory:
+            if len(s_list) > _MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)

@@ -72,14 +72,9 @@ def _indicator_of(s, m):
     return _one_hot(classes)
 
 
-def check_inputs(params, x, b, hyper):
-    """Validate all value_and_grad takes on trust but y; returns x and b as float arrays."""
-    return _check_objective_inputs(params, x, b, hyper, SUPERVISED)
-
-
 def value_and_grad(params, x, b, y, hyper):
     """Pairwise objective and its flat gradient (laid out as network.split_flat) from the (m, C)
-    class indicator y, in one forward pass.  Nothing is validated: check_inputs() once per phase first."""
+    class indicator y, in one forward pass.  Nothing is validated: loss() and grad() are the checked entry points."""
     m = hyper.n_samples
     n = params.n_layers
     trace = _forward(params, x, n)
@@ -101,7 +96,7 @@ def value_and_grad(params, x, b, y, hyper):
 
 def loss(params, x, b, s, hyper):
     """Pairwise objective at fixed codes b and same-class matrix s."""
-    x, b = check_inputs(params, x, b, hyper)
+    x, b = _check_objective_inputs(params, x, b, hyper, SUPERVISED)
     j = value_and_grad(params, x, b, _indicator_of(s, hyper.n_samples), hyper)[0]
     if not np.isfinite(j):
         raise ValueError("objective is non-finite")
@@ -110,7 +105,7 @@ def loss(params, x, b, s, hyper):
 
 def grad(params, x, b, s, hyper):
     """Gradient of loss() for every weight and bias block."""
-    x, b = check_inputs(params, x, b, hyper)
+    x, b = _check_objective_inputs(params, x, b, hyper, SUPERVISED)
     g = value_and_grad(params, x, b, _indicator_of(s, hyper.n_samples), hyper)[1]
     return GradientSet(*split_flat(g, params.layer_sizes))
 

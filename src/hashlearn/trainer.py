@@ -7,14 +7,14 @@ update with a warm-started L-BFGS refit for max_iter outer iterations.
 """
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from hashlearn import supervised, unsupervised
 from hashlearn.evaluation import BinaryCodes
 from hashlearn.initialization import init_network, itq_init
-from hashlearn.lbfgs import LbfgsConfig, minimize
+from hashlearn.lbfgs import minimize
 from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, check_finite, code_layer, forward, sgn,
                                split_flat)
 
@@ -22,8 +22,6 @@ UNSUP_LAMBDAS = (1e-5, 5e-2, 1e-2, 1e-6)
 SUP_LAMBDAS = (1e-3, 5.0, 1.0, 1e-4)
 UNSUP_MAX_ITER = 10
 SUP_MAX_ITER = 5
-DEFAULT_PER_CLASS = 2000
-DEFAULT_ITQ_ITERS = 50
 # hidden widths between input and code layer, keyed by code length
 DEFAULT_HIDDEN = {8: (90, 20), 16: (90, 30), 32: (120, 50), 64: (160, 110)}
 
@@ -55,20 +53,26 @@ def default_layer_sizes(mode, n_dims, code_len, hidden=None):
 
 @dataclass
 class TrainConfig:
+    """Every training setting; validate() is the one place they are checked."""
+
     mode: str
-    code_len: int
     layer_sizes: list
     lambda1: float
     lambda2: float
     lambda3: float
     lambda4: float
     max_iter: int
-    lbfgs_initial: LbfgsConfig = field(default_factory=lambda: LbfgsConfig(max_iters=50))
-    lbfgs_subsequent: LbfgsConfig = field(default_factory=lambda: LbfgsConfig(max_iters=20))
-    n_per_class: int = DEFAULT_PER_CLASS
+    lbfgs_initial: int = 50      # L-BFGS iterations of the first fit at the ITQ codes
+    lbfgs_subsequent: int = 20   # L-BFGS iterations of each warm-started refit
+    n_per_class: int = 2000
     seed: int = 42
     center_inputs: bool = False
-    itq_iters: int = DEFAULT_ITQ_ITERS
+    itq_iters: int = 50
+
+    @property
+    def code_len(self):
+        """Width of the code layer."""
+        return self.layer_sizes[code_layer(self.mode, len(self.layer_sizes)) - 1]
 
     @classmethod
     def defaults(cls, mode, n_dims, code_len, hidden=None, **overrides):
@@ -79,33 +83,34 @@ class TrainConfig:
             lambdas, max_iter = SUP_LAMBDAS, SUP_MAX_ITER
         else:
             raise ValueError("unknown mode %r" % (mode,))
-        cfg = cls(mode=mode, code_len=code_len,
-                  layer_sizes=default_layer_sizes(mode, n_dims, code_len, hidden),
-                  lambda1=lambdas[0], lambda2=lambdas[1], lambda3=lambdas[2], lambda4=lambdas[3],
-                  max_iter=max_iter)
-        for key, value in overrides.items():
-            if not hasattr(cfg, key):
+        known = {f.name for f in fields(cls)}
+        for key in overrides:
+            if key not in known:
                 raise ValueError("unknown config field %r" % (key,))
-            setattr(cfg, key, value)
-        return cfg
+        stock = dict(mode=mode, layer_sizes=default_layer_sizes(mode, n_dims, code_len, hidden),
+                     lambda1=lambdas[0], lambda2=lambdas[1], lambda3=lambdas[2], lambda4=lambdas[3],
+                     max_iter=max_iter)
+        return cls(**{**stock, **overrides})
 
     def validate(self):
-        if self.code_len < 1:
-            raise ValueError("code_len must be >= 1")
+        sizes = self.layer_sizes
+        if any(w < 1 for w in sizes):
+            raise ValueError("layer_sizes must all be >= 1, got %s" % (list(sizes),))
+        code_layer(self.mode, len(sizes))  # rejects an unknown mode or too shallow a network
+        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v < 0:
+                raise ValueError("%s must be finite and >= 0, got %r" % (name, v))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.lbfgs_initial < 0 or self.lbfgs_subsequent < 0:
+            raise ValueError("lbfgs_initial and lbfgs_subsequent must be >= 0")
         if self.itq_iters < 0:
             raise ValueError("itq_iters must be >= 0")
-        sizes = self.layer_sizes
-        width = sizes[code_layer(self.mode, len(sizes)) - 1]
-        if width != self.code_len:
-            raise ValueError("code layer has width %d, expected the code length %d" % (width, self.code_len))
         if self.mode == UNSUPERVISED and sizes[-1] != sizes[0]:
             raise ValueError("output width %d must match input width %d" % (sizes[-1], sizes[0]))
         if self.mode == SUPERVISED and self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1 in supervised mode")
-        self.lbfgs_initial.validate()
-        self.lbfgs_subsequent.validate()
 
 
 @dataclass
@@ -172,8 +177,8 @@ def train_supervised(x, labels, config):
 
 def _train(x, labels, config, mode):
     """Initial continuous fit at the ITQ codes, then max_iter rounds of a code
-    update followed by a warm-started refit.  The parameters and data are
-    validated once per L-BFGS phase, then bound into an unchecked objective.
+    update followed by a warm-started refit.  The config and data are
+    validated here, at the entry point; the objective runs unchecked.
     """
     config.validate()
     if config.mode != mode:
@@ -209,10 +214,8 @@ def _train(x, labels, config, mode):
             else:
                 b = supervised.b_step(h_code)
         if mode == UNSUPERVISED:
-            unsupervised.check_inputs(params, x, b, hyper)
             fun = _make_objective(params, lambda q: unsupervised.value_and_grad(q, x, b, hyper))
         else:
-            supervised.check_inputs(params, x, b, hyper)
             fun = _make_objective(params, lambda q: supervised.value_and_grad(q, x, b, pair.indicator, hyper))
         res = minimize(fun, _flatten(params), config.lbfgs_subsequent if t else config.lbfgs_initial)
         params = _rebuild(res.x, params)

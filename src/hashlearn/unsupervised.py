@@ -67,11 +67,6 @@ def _check_objective_inputs(params, x, b, hyper, mode):
     return x, _check_codes(b, hyper.code_len, hyper.n_samples)
 
 
-def check_inputs(params, x, b, hyper):
-    """Validate everything value_and_grad takes on trust; returns x and b as float arrays."""
-    return _check_objective_inputs(params, x, b, hyper, UNSUPERVISED)
-
-
 def _code_layer_terms(h, b, gram, rowsums, hyper):
     """Quantization, decorrelation and balance penalties at the code layer, and their gradient in h,
     from the code-layer Gram matrix h h^T and row sums h 1."""
@@ -108,7 +103,7 @@ def _backprop(params, trace, delta, top, lambda1):
 
 def value_and_grad(params, x, b, hyper):
     """Objective and its flat gradient (laid out as network.split_flat) in one
-    forward pass.  Nothing is validated: check_inputs() once per phase first."""
+    forward pass.  Nothing is validated: loss() and grad() are the checked entry points."""
     m = hyper.n_samples
     n = params.n_layers
     trace = _forward(params, x, n - 1)
@@ -134,7 +129,7 @@ def value_and_grad(params, x, b, hyper):
 
 def loss(params, x, b, hyper):
     """Full objective at the given parameters and fixed codes."""
-    j = value_and_grad(params, *check_inputs(params, x, b, hyper), hyper)[0]
+    j = value_and_grad(params, *_check_objective_inputs(params, x, b, hyper, UNSUPERVISED), hyper)[0]
     if not np.isfinite(j):
         raise ValueError("objective is non-finite")
     return j
@@ -142,7 +137,7 @@ def loss(params, x, b, hyper):
 
 def grad(params, x, b, hyper):
     """Gradient of loss() with respect to every weight and bias block."""
-    g = value_and_grad(params, *check_inputs(params, x, b, hyper), hyper)[1]
+    g = value_and_grad(params, *_check_objective_inputs(params, x, b, hyper, UNSUPERVISED), hyper)[1]
     return GradientSet(*split_flat(g, params.layer_sizes))
 
 

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
+import hashlearn.cli as cli
 from hashlearn.cli import main
 from hashlearn.dataio import load_codes, load_gt, save_codes, save_gt
 from hashlearn.evaluation import BinaryCodes, label_gt
+from hashlearn.network import SUPERVISED, UNSUPERVISED
 from hashlearn.toydata import gaussian_clusters
+from hashlearn.trainer import TrainConfig
 
 from helpers import loop_knn_gt
 
@@ -165,6 +169,69 @@ def test_config_file_precedence(tmp_path, clusters):
     assert report["config"]["bits"] == 4      # flag overrides file
     assert report["config"]["seed"] == 7      # file overrides default
     assert report["config"]["max_iter"] == 1
+
+
+@pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
+def test_train_without_setting_flags_uses_train_config_defaults(tmp_path, monkeypatch, mode):
+    # the stock 16-bit hidden widths (90, 30) need 90 inputs, and one class of
+    # TrainConfig's stock n_per_class samples lets the supervised run select
+    n_dims = 90
+    x, labels = gaussian_clusters(n_dims, 2000, 1, seed=2)
+    train_csv = write_csv(tmp_path / "train.csv", x, labels)
+    built = []
+
+    def quick(train):
+        # record the config the CLI built, then train on a cut budget to keep the test fast
+        def run(*args):
+            built.append(args[-1])
+            return train(*args[:-1], dataclasses.replace(args[-1], max_iter=1, lbfgs_initial=2, lbfgs_subsequent=1))
+        return run
+    monkeypatch.setattr(cli, "train_unsupervised", quick(cli.train_unsupervised))
+    monkeypatch.setattr(cli, "train_supervised", quick(cli.train_supervised))
+    argv = ["train", "--data", train_csv, "--labels", "last", "--out", str(tmp_path / "m.dhnn")]
+    if mode == SUPERVISED:
+        argv += ["--mode", "sup"]
+    assert main(argv) == 0
+    want = TrainConfig.defaults(mode, n_dims, 16)
+    assert built == [want]
+    report = json.loads((tmp_path / "m.json").read_text())["config"]
+    assert (report["seed"], report["ns"], report["itq_iters"], report["center"], report["max_iter"]) \
+        == (want.seed, want.n_per_class, want.itq_iters, want.center_inputs, want.max_iter)
+    assert [report["lambda%d" % i] for i in (1, 2, 3, 4)] == [want.lambda1, want.lambda2, want.lambda3, want.lambda4]
+    assert (report["bits"], report["layer_sizes"]) == (16, want.layer_sizes)
+
+
+def test_config_file_center(tmp_path, clusters, capsys):
+    _, _, train_csv = clusters
+    config = tmp_path / "c.conf"
+    argv = ["train", "--config", str(config), "--mode", "unsup", "--data", train_csv, "--labels", "last",
+            "--bits", "4", "--layers", "5,4", "--max-iter", "1", "--itq-iters", "5",
+            "--out", str(tmp_path / "m.dhnn")]
+    for text, flags, want in (("center = yes\n", [], True), ("center = Off\n", [], False),
+                              ("center = no\n", ["--center"], True)):
+        config.write_text(text)
+        assert main(argv + flags) == 0
+        assert json.loads((tmp_path / "m.json").read_text())["config"]["center"] is want
+    config.write_text("seed = 3\n\ncenter = maybe\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "%s:3:" % config in err and "'maybe'" in err
+
+
+def test_config_file_value_fails_like_its_flag(tmp_path, clusters, capsys):
+    _, _, train_csv = clusters
+    config = tmp_path / "b.conf"
+    config.write_text("bits = 8.0\n")
+    argv = ["train", "--data", train_csv, "--labels", "last", "--out", str(tmp_path / "m.dhnn")]
+    with pytest.raises(SystemExit) as from_flag:
+        main(argv + ["--bits", "8.0"])
+    flag_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as from_file:
+        main(argv + ["--config", str(config)])
+    file_err = capsys.readouterr().err
+    assert from_file.value.code == from_flag.value.code == 2
+    assert file_err == flag_err
+    assert "argument --bits: invalid int value: '8.0'" in file_err
 
 
 def test_config_file_unknown_key(tmp_path, clusters, capsys):

@@ -241,6 +241,17 @@ def test_gt_round_trip(tmp_path):
         load_gt(write(tmp_path / "t.gt", open(path, "rb").read()[:-2]))
 
 
+def test_save_gt_rejects_non_integer_indices(tmp_path):
+    path = tmp_path / "bad.gt"
+    for bad in (np.array([0.7, 2.9]), np.array([True, False])):
+        with pytest.raises(ValueError, match="query 1 holds"):
+            save_gt([np.array([0]), bad], str(path))
+    assert not path.exists()
+    # empty arrays of any dtype stay valid, as on read
+    save_gt([np.array([]), np.array([2], dtype=np.uint8)], str(path))
+    assert [g.tolist() for g in load_gt(str(path))] == [[], [2]]
+
+
 def test_load_dataset_dispatch(tmp_path):
     csv = tmp_path / "d.csv"
     csv.write_text("1,2\n")

@@ -90,4 +90,21 @@ def test_evaluate_rejects_negative_radius_before_any_work(monkeypatch):
         evaluate(db, q, gt, radii=(2, -1))
     with pytest.raises(ValueError, match="radius must be >= 0"):
         precision_at_radius(db, q, gt, -1)
+    for bad in (1.9, np.float64(2.5), float("nan")):
+        with pytest.raises(ValueError, match="whole number"):
+            evaluate(db, q, gt, radii=(2, bad))
+        with pytest.raises(ValueError, match="whole number"):
+            precision_at_radius(db, q, gt, bad)
     assert calls == []
+
+
+def test_integer_radius_types_give_the_same_report():
+    db, q, gt = random_case(0, 16, 10, 2)
+    want = evaluate(db, q, gt, radii=(1, 3))
+    for radii in ((np.int64(1), np.uint8(3)), (1.0, 3), (np.int32(3), 1, 1)):
+        got = evaluate(db, q, gt, radii=radii)
+        assert got == want
+        assert all(type(r) is int for r in got.radii + list(got.precision_at))
+    assert precision_at_radius(db, q, gt, np.uint16(3)) == precision_at_radius(db, q, gt, 3)
+    # a radius past any float's range still means "every code"
+    assert precision_at_radius(db, q, gt, 10 ** 400) == precision_at_radius(db, q, gt, 16)

@@ -8,7 +8,6 @@ import sys
 
 import hashlearn.cli  # noqa: F401  Tracer.installed() swaps names only in loaded hashlearn modules
 from hashlearn import trainer
-from hashlearn.lbfgs import LbfgsConfig
 from hashlearn.network import SUPERVISED, UNSUPERVISED
 from hashlearn.toydata import gaussian_clusters
 
@@ -17,10 +16,8 @@ from tracing import Tracer  # noqa: E402
 
 
 def tiny_config(mode):
-    cfg = trainer.TrainConfig.defaults(mode, 6, 4, hidden=(5, 4), max_iter=2, itq_iters=5, n_per_class=10)
-    cfg.lbfgs_initial = LbfgsConfig(max_iters=5)
-    cfg.lbfgs_subsequent = LbfgsConfig(max_iters=3)
-    return cfg
+    return trainer.TrainConfig.defaults(mode, 6, 4, hidden=(5, 4), max_iter=2, itq_iters=5, n_per_class=10,
+                                        lbfgs_initial=5, lbfgs_subsequent=3)
 
 
 def test_training_crosses_every_traced_boundary():

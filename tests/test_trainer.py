@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hashlearn.unsupervised as unsup
 from hashlearn.evaluation import BinaryCodes
-from hashlearn.lbfgs import LbfgsConfig, minimize
+from hashlearn.lbfgs import minimize
 from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, code_layer, forward, sgn, split_flat
 from hashlearn.toydata import gaussian_clusters
 from hashlearn.trainer import (SUP_LAMBDAS, UNSUP_LAMBDAS, TrainConfig, _final_status, _flatten,
@@ -21,21 +21,14 @@ REL_TOL = 1e-7   # outer-loop monotonicity tolerance, relative
 
 
 def small_unsup_config(n_dims, code_len, **overrides):
-    cfg = TrainConfig.defaults(UNSUPERVISED, n_dims, code_len,
-                               hidden=(n_dims - 1, code_len),
-                               max_iter=3, itq_iters=15, **overrides)
-    cfg.lbfgs_initial = LbfgsConfig(max_iters=25)
-    cfg.lbfgs_subsequent = LbfgsConfig(max_iters=10)
-    return cfg
+    return TrainConfig.defaults(UNSUPERVISED, n_dims, code_len, hidden=(n_dims - 1, code_len),
+                                max_iter=3, itq_iters=15, lbfgs_initial=25, lbfgs_subsequent=10, **overrides)
 
 
 def small_sup_config(n_dims, code_len, n_per_class, **overrides):
-    cfg = TrainConfig.defaults(SUPERVISED, n_dims, code_len,
-                               hidden=(n_dims - 1, code_len),
-                               max_iter=3, itq_iters=15, n_per_class=n_per_class, **overrides)
-    cfg.lbfgs_initial = LbfgsConfig(max_iters=25)
-    cfg.lbfgs_subsequent = LbfgsConfig(max_iters=10)
-    return cfg
+    return TrainConfig.defaults(SUPERVISED, n_dims, code_len, hidden=(n_dims - 1, code_len),
+                                max_iter=3, itq_iters=15, n_per_class=n_per_class,
+                                lbfgs_initial=25, lbfgs_subsequent=10, **overrides)
 
 
 def assert_monotone(trace):
@@ -62,7 +55,11 @@ def test_config_defaults_per_mode():
     assert (cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.lambda4) == SUP_LAMBDAS
     assert cfg.max_iter == 5
     assert cfg.seed == 42
-    with pytest.raises(ValueError):
+    # the code length is read off the code layer, not stored beside it
+    assert cfg.code_len == 16 and TrainConfig.defaults(UNSUPERVISED, 784, 16).code_len == 16
+    cfg.layer_sizes[-1] = 12
+    assert cfg.code_len == 12
+    with pytest.raises(ValueError, match="unknown config field"):
         TrainConfig.defaults(UNSUPERVISED, 784, 16, nonsense=1)
     with pytest.raises(ValueError):
         TrainConfig.defaults("other", 784, 16)
@@ -73,9 +70,15 @@ def test_config_validation_errors():
     cfg.layer_sizes[-1] = 31
     with pytest.raises(ValueError):
         cfg.validate()
-    cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,))
-    cfg.code_len = 6
-    with pytest.raises(ValueError):
+    cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(0,))
+    with pytest.raises(ValueError, match="layer_sizes"):
+        cfg.validate()
+    for bad in (-1e-3, np.nan, np.inf):
+        cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,), lambda3=bad)
+        with pytest.raises(ValueError, match="lambda3"):
+            cfg.validate()
+    cfg = TrainConfig.defaults(UNSUPERVISED, 32, 8, hidden=(12,), lbfgs_subsequent=-1)
+    with pytest.raises(ValueError, match="lbfgs_subsequent"):
         cfg.validate()
     cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,), max_iter=0)
     with pytest.raises(ValueError):
@@ -288,7 +291,7 @@ def test_overflowing_trial_step_backs_off():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = minimize(_make_objective(params, cosh_objective), _flatten(params), LbfgsConfig(max_iters=10))
+        res = minimize(_make_objective(params, cosh_objective), _flatten(params), 10)
     assert not np.isfinite(values[1])
     assert len(res.history) > 1
     assert np.all(np.isfinite(res.history))
@@ -356,8 +359,7 @@ def test_supervised_training_builds_no_m_by_m_array():
     x, labels = gaussian_clusters(16, m, 10, seed=3)
     cfg = small_sup_config(16, 8, n_per_class=200)
     cfg.max_iter = 1
-    cfg.lbfgs_initial = LbfgsConfig(max_iters=2)
-    cfg.lbfgs_subsequent = LbfgsConfig(max_iters=2)
+    cfg.lbfgs_initial = cfg.lbfgs_subsequent = 2
     tracemalloc.start()
     try:
         res = train_supervised(x, labels, cfg)
