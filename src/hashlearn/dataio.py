@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hashlearn.evaluation import BinaryCodes, validate_ground_truth
-from hashlearn.network import ACTIVATIONS, LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, NetworkParams
+from hashlearn.evaluation import BinaryCodes
+from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, NetworkParams
 
 MODEL_MAGIC = b"DHNN"
 CODES_MAGIC = b"DHCB"

@@ -3,10 +3,10 @@
 import numpy as np
 
 
-def frobenius_sq(a):
-    """Sum of squared entries of an array."""
+def frobenius_sq(a, out=None):
+    """Sum of squared entries of an array; the squares go to out if given."""
     a = np.asarray(a, dtype=np.float64)
-    return float(np.sum(a * a))
+    return float(np.sum(np.multiply(a, a, out=out)))
 
 
 def covariance(x):

@@ -86,34 +86,38 @@ class ForwardTrace:
     H: list = field(default_factory=list)
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None):
     # 0.5 * (1 + tanh(z / 2)): no sign split, and tanh saturates instead of overflowing
-    out = np.multiply(z, 0.5)
+    out = np.multiply(z, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
 
 
-def activate(kind, z):
+def activate(kind, z, out=None):
+    """The activation of z, written to out (which may be z itself) or a new array; linear returns z."""
     if kind == SIGMOID:
-        return _sigmoid(z)
+        return _sigmoid(z, out)
     if kind == LINEAR:
         return z
     raise ValueError("unknown activation %r" % (kind,))
 
 
-def activation_deriv(kind, h):
-    """Derivative of a nonlinear activation expressed through its output h."""
+def activation_deriv(kind, h, out=None):
+    """Derivative of a nonlinear activation expressed through its output h, written to out if given."""
     if kind == SIGMOID:
-        return h * (1.0 - h)
+        out = np.subtract(1.0, h, out=out)
+        out *= h
+        return out
     raise ValueError("unknown activation %r" % (kind,))
 
 
-def through_activation(kind, delta, h):
-    """delta times the activation derivative at output h, in place; linear layers skip it."""
+def through_activation(kind, delta, h, scratch):
+    """delta times the activation derivative at output h, in place, with scratch receiving
+    the derivative; linear layers skip it."""
     if kind != LINEAR:
-        delta *= activation_deriv(kind, h)
+        delta *= activation_deriv(kind, h, scratch)
     return delta
 
 
@@ -128,15 +132,31 @@ def split_flat(vec, layer_sizes):
     return weights, biases
 
 
-def _forward(params, x, upto):
-    """forward() without any checks; for callers that validated once up front."""
+class Workspace:
+    """The (width, m) buffers every objective evaluation on m samples reuses.  acts, back
+    and deriv follow ForwardTrace.H[1:] to the code layer: outputs, back-propagated
+    gradients (back[-1] is the code-layer pull) and derivative scratch (one shared buffer,
+    as one derivative is live at a time); tmp and sq are code-layer scratch, resid the
+    unsupervised residual.  A view into it is valid until the next evaluation."""
+
+    def __init__(self, layer_sizes, mode, m):
+        widths = layer_sizes[1:code_layer(mode, len(layer_sizes))]
+        self.acts = [np.empty((w, m)) for w in widths]
+        self.back = [np.empty((w, m)) for w in widths]
+        shared = np.empty(max(widths) * m)
+        self.deriv = [shared[:w * m].reshape(w, m) for w in widths]
+        self.tmp, self.sq = np.empty((2, widths[-1], m))
+        self.resid = np.empty((layer_sizes[-1], m)) if mode == UNSUPERVISED else None
+
+
+def _forward(params, x, upto, out=None):
+    """forward() without any checks; for callers that validated once up front.
+    Layer outputs go to the arrays in out (a Workspace's acts) if given."""
     trace = ForwardTrace(H=[x])
-    h = x
     for i in range(upto - 1):
-        z = params.weights[i] @ h
+        z = np.matmul(params.weights[i], trace.H[-1], out=None if out is None else out[i])
         z += params.biases[i][:, None]
-        h = activate(params.activations[i], z)
-        trace.H.append(h)
+        trace.H.append(activate(params.activations[i], z, out=z))
     return trace
 
 
@@ -164,6 +184,9 @@ def forward(params, x, upto=None):
 
 def check_finite(name, a):
     """Reject NaN/Inf, naming the argument and the first bad (row, column)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.sum(a)):  # any NaN/Inf entry makes the sum non-finite; no mask the size of a
+            return
     finite = np.isfinite(a)
     if not finite.all():
         idx = tuple(int(i) for i in np.argwhere(~finite)[0])

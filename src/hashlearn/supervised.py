@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hashlearn.linalg import frobenius_sq
-from hashlearn.network import SUPERVISED, _forward, sgn, split_flat, through_activation
+from hashlearn.network import SUPERVISED, Workspace, _forward, sgn, split_flat, through_activation
 from hashlearn.unsupervised import (GradientSet, UnsupHyper, _backprop, _check_objective_inputs, _code_layer_terms,
                                     _weight_decay)
 
@@ -72,12 +72,15 @@ def _indicator_of(s, m):
     return _one_hot(classes)
 
 
-def value_and_grad(params, x, b, y, hyper):
-    """Pairwise objective and its flat gradient (laid out as network.split_flat) from the (m, C)
-    class indicator y, in one forward pass.  Nothing is validated: loss() and grad() are the checked entry points."""
+def value_and_grad(params, x, b, y, hyper, ws=None):
+    """Pairwise objective and its flat gradient (laid out as network.split_flat, a new array) from the
+    (m, C) class indicator y, in one forward pass in the Workspace ws (a new one if None).  Nothing is
+    validated: loss() and grad() are the checked entry points."""
     m = hyper.n_samples
     n = params.n_layers
-    trace = _forward(params, x, n)
+    if ws is None:
+        ws = Workspace(params.layer_sizes, SUPERVISED, m)
+    trace = _forward(params, x, n, ws.acts)
     h = trace.H[-1]
     # ||H^T H / L - S||^2 and its gradient through S = 2 Y Y^T - 1 1^T: no (m, m) array
     gram = h @ h.T
@@ -85,13 +88,18 @@ def value_and_grad(params, x, b, y, hyper):
     hy = h @ y
     h1 = h.sum(axis=1)
     fit_sq = frobenius_sq(hht) - (2.0 / hyper.code_len) * (2.0 * frobenius_sq(hy) - h1 @ h1) + m * m
-    j_code, pull = _code_layer_terms(h, b, gram, h1, hyper)
+    j_code, pull = _code_layer_terms(h, b, gram, h1, hyper, ws)
     j = fit_sq / (2.0 * m)
     j += _weight_decay(params, hyper)
     j += j_code
-    pull += (2.0 / (m * hyper.code_len)) * (hht @ h - 2.0 * (hy @ y.T) + h1[:, None])
-    delta = through_activation(params.activations[n - 2], pull, h)
-    return j, _backprop(params, trace, delta, n - 2, hyper.lambda1)[0]
+    # (2 / (m L)) (hht h - 2 (hy y^T) + h1 1^T), in that order, in the code-layer scratch
+    fit = np.matmul(hht, h, out=ws.tmp)
+    fit -= np.multiply(np.matmul(hy, y.T, out=ws.sq), 2.0, out=ws.sq)
+    fit += h1[:, None]
+    fit *= 2.0 / (m * hyper.code_len)
+    pull += fit
+    delta = through_activation(params.activations[n - 2], pull, h, ws.deriv[-1])
+    return j, _backprop(params, trace, delta, n - 2, hyper.lambda1, ws)[0]
 
 
 def loss(params, x, b, s, hyper):

@@ -15,7 +15,7 @@ from hashlearn import supervised, unsupervised
 from hashlearn.evaluation import BinaryCodes
 from hashlearn.initialization import init_network, itq_init
 from hashlearn.lbfgs import minimize
-from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, check_finite, code_layer, forward, sgn,
+from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, Workspace, check_finite, code_layer, forward,
                                split_flat)
 
 UNSUP_LAMBDAS = (1e-5, 5e-2, 1e-2, 1e-6)
@@ -30,6 +30,7 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 
 _PLATEAU_REL = 1e-9      # final-iteration relative change that counts as converged
 _INCREASE_FACTOR = 1.1   # divergence guard: abort on > 10% loss increase
+_ENCODE_BLOCK = 1024     # columns per forward pass in encode, so its memory does not grow with n
 
 
 def derive_seed(seed, name):
@@ -205,6 +206,7 @@ def _train(x, labels, config, mode):
     b = itq_init(x, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
     params = init_network(x, config.layer_sizes, mode)
     layer = code_layer(mode, params.n_layers)
+    ws = Workspace(config.layer_sizes, mode, x.shape[1])
     loss_trace, wc_histories = [], []
     for t in range(config.max_iter + 1):
         if t:
@@ -214,9 +216,9 @@ def _train(x, labels, config, mode):
             else:
                 b = supervised.b_step(h_code)
         if mode == UNSUPERVISED:
-            fun = _make_objective(params, lambda q: unsupervised.value_and_grad(q, x, b, hyper))
+            fun = _make_objective(params, lambda q: unsupervised.value_and_grad(q, x, b, hyper, ws))
         else:
-            fun = _make_objective(params, lambda q: supervised.value_and_grad(q, x, b, pair.indicator, hyper))
+            fun = _make_objective(params, lambda q: supervised.value_and_grad(q, x, b, pair.indicator, hyper, ws))
         res = minimize(fun, _flatten(params), config.lbfgs_subsequent if t else config.lbfgs_initial)
         params = _rebuild(res.x, params)
         loss_trace.append(res.history[-1])
@@ -238,8 +240,16 @@ def _train(x, labels, config, mode):
 
 
 def encode(params, x_new):
-    """Binary codes for new samples: forward to the code layer, take signs."""
+    """Binary codes for new samples: forward to the code layer, take signs (ties to +1).
+    Runs on blocks of _ENCODE_BLOCK columns, packing each straight into the output."""
     x_new = np.asarray(x_new, dtype=np.float64)
     check_finite("x_new", x_new)
-    trace = forward(params, x_new, upto=code_layer(params.mode, params.n_layers))
-    return BinaryCodes.from_sign_matrix(sgn(trace.H[-1]))
+    layer = code_layer(params.mode, params.n_layers)
+    if x_new.ndim != 2:
+        raise ValueError("x_new has shape %s, expected (%d, m)" % (x_new.shape, params.layer_sizes[0]))
+    code_len, n = params.layer_sizes[layer - 1], x_new.shape[1]
+    packed = np.empty((n, -(-code_len // 8)), dtype=np.uint8)
+    for start in range(0, max(n, 1), _ENCODE_BLOCK):  # an empty input still passes forward()'s checks
+        h = forward(params, x_new[:, start:start + _ENCODE_BLOCK], upto=layer).H[-1]
+        packed[start:start + _ENCODE_BLOCK] = np.packbits(h.T >= 0, axis=1, bitorder="little")
+    return BinaryCodes(code_len, n, packed)

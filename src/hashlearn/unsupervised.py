@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hashlearn.linalg import frobenius_sq
-from hashlearn.network import UNSUPERVISED, _forward, code_layer, split_flat, through_activation
+from hashlearn.network import UNSUPERVISED, Workspace, _forward, code_layer, split_flat, through_activation
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,17 @@ def _check_objective_inputs(params, x, b, hyper, mode):
     return x, _check_codes(b, hyper.code_len, hyper.n_samples)
 
 
-def _code_layer_terms(h, b, gram, rowsums, hyper):
-    """Quantization, decorrelation and balance penalties at the code layer, and their gradient in h,
-    from the code-layer Gram matrix h h^T and row sums h 1."""
+def _code_layer_terms(h, b, gram, rowsums, hyper, ws):
+    """Quantization, decorrelation and balance penalties at the code layer, and their gradient in h
+    (written to ws.back[-1]), from the code-layer Gram matrix h h^T and row sums h 1."""
     m = hyper.n_samples
     corr = gram / m - np.eye(h.shape[0])
-    j = (hyper.lambda2 / (2.0 * m)) * frobenius_sq(h - b)
+    g = np.subtract(h, b, out=ws.back[-1])
+    j = (hyper.lambda2 / (2.0 * m)) * frobenius_sq(g, out=ws.sq)
     j += (hyper.lambda3 / 2.0) * frobenius_sq(corr)
     j += (hyper.lambda4 / (2.0 * m)) * float(np.sum(rowsums ** 2))
-    g = (hyper.lambda2 / m) * (h - b)
-    g += (2.0 * hyper.lambda3 / m) * (corr @ h)
+    g *= hyper.lambda2 / m
+    g += np.multiply(np.matmul(corr, h, out=ws.tmp), 2.0 * hyper.lambda3 / m, out=ws.tmp)
     g += (hyper.lambda4 / m) * rowsums[:, None]
     return j, g
 
@@ -85,11 +86,12 @@ def _weight_decay(params, hyper):
     return (hyper.lambda1 / 2.0) * sum(frobenius_sq(w) for w in params.weights)
 
 
-def _backprop(params, trace, delta, top, lambda1):
+def _backprop(params, trace, delta, top, lambda1, ws):
     """Flat gradient (laid out as network.split_flat) of weight blocks 0..top,
     weight decay included, from delta: the gradient at layer top+2's
-    activations, already through the activation derivative.  Returns the
-    vector and its weight and bias views; blocks above top are left unset."""
+    activations, already through the activation derivative, with hidden-layer
+    deltas in the Workspace ws.  Returns the new vector and its weight and bias
+    views; blocks above top are left unset."""
     g = np.empty(sum(w.size + c.size for w, c in zip(params.weights, params.biases)))
     d_w, d_c = split_flat(g, params.layer_sizes)
     for i in range(top, -1, -1):
@@ -97,33 +99,37 @@ def _backprop(params, trace, delta, top, lambda1):
         d_w[i] += lambda1 * params.weights[i]
         np.sum(delta, axis=1, out=d_c[i])
         if i > 0:
-            delta = through_activation(params.activations[i - 1], params.weights[i].T @ delta, trace.H[i])
+            delta = np.matmul(params.weights[i].T, delta, out=ws.back[i - 1])
+            through_activation(params.activations[i - 1], delta, trace.H[i], ws.deriv[i - 1])
     return g, d_w, d_c
 
 
-def value_and_grad(params, x, b, hyper):
-    """Objective and its flat gradient (laid out as network.split_flat) in one
-    forward pass.  Nothing is validated: loss() and grad() are the checked entry points."""
+def value_and_grad(params, x, b, hyper, ws=None):
+    """Objective and its flat gradient (laid out as network.split_flat, a new array) in one forward
+    pass in the Workspace ws (a new one if None).  Nothing is validated: loss() and grad() are the
+    checked entry points."""
     m = hyper.n_samples
     n = params.n_layers
-    trace = _forward(params, x, n - 1)
+    if ws is None:
+        ws = Workspace(params.layer_sizes, UNSUPERVISED, m)
+    trace = _forward(params, x, n - 1, ws.acts)
     h = trace.H[-1]
     w_dec = params.weights[-1]
-    resid = np.subtract(x, w_dec @ b)
+    resid = np.subtract(x, np.matmul(w_dec, b, out=ws.resid), out=ws.resid)
     resid -= params.biases[-1][:, None]
-    j_code, pull = _code_layer_terms(h, b, h @ h.T, h.sum(axis=1), hyper)
-    j = frobenius_sq(resid) / (2.0 * m)
-    j += _weight_decay(params, hyper)
-    j += j_code
+    j_code, pull = _code_layer_terms(h, b, h @ h.T, h.sum(axis=1), hyper, ws)
 
     # pull at the code layer (layer n-1), through its activation derivative
-    delta = through_activation(params.activations[n - 3], pull, h)
-    g, d_w, d_c = _backprop(params, trace, delta, n - 3, hyper.lambda1)
+    delta = through_activation(params.activations[n - 3], pull, h, ws.deriv[-1])
+    g, d_w, d_c = _backprop(params, trace, delta, n - 3, hyper.lambda1, ws)
     np.matmul(resid, b.T, out=d_w[-1])
     d_w[-1] *= -1.0 / m
     d_w[-1] += hyper.lambda1 * w_dec
     np.sum(resid, axis=1, out=d_c[-1])
     d_c[-1] *= -1.0 / m
+    j = frobenius_sq(resid, out=resid) / (2.0 * m)  # squares resid in place: its last use
+    j += _weight_decay(params, hyper)
+    j += j_code
     return j, g
 
 

@@ -6,11 +6,12 @@ public parameter containers.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
-from hashlearn.evaluation import EvalReport
-from hashlearn.network import LINEAR, SIGMOID, NetworkParams
+from hashlearn.evaluation import BinaryCodes, EvalReport
+from hashlearn.network import LINEAR, SIGMOID, NetworkParams, code_layer, forward, sgn
 
 
 def random_params(sizes, acts, mode, rng, scale=0.5):
@@ -371,3 +372,25 @@ def labelled_with_nuisance(seed, per_class_counts):
         x = np.vstack([signal[:, labels], nuisance[:, rng.integers(0, 20, labels.size)]])
         out.append((x + rng.standard_normal(x.shape), labels))
     return out
+
+
+def traced_peak(fn):
+    """fn's result and the most bytes tracemalloc saw live during the call beyond
+    what was live when it began (numpy reports its buffers to tracemalloc)."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def unblocked_encode(params, x):
+    """The encoder as one forward pass over every column, then signs: the
+    oracle for trainer.encode, which works in column blocks."""
+    trace = forward(params, np.asarray(x, dtype=np.float64), upto=code_layer(params.mode, params.n_layers))
+    return BinaryCodes.from_sign_matrix(sgn(trace.H[-1]))

@@ -1,0 +1,118 @@
+"""Memory behaviour of the hot paths: an L-BFGS objective evaluation writes its
+(width, m) intermediates into one reused Workspace, and encode runs in fixed-size
+column blocks.  Checked with tracemalloc, plus differential tests of the blocked
+encoder against one full-width pass and of what must stay unshared."""
+
+import numpy as np
+import pytest
+
+import hashlearn.supervised as sup
+import hashlearn.unsupervised as unsup
+from hashlearn.initialization import init_network
+from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, Workspace, code_layer, forward
+from hashlearn.trainer import _ENCODE_BLOCK, SUP_LAMBDAS, UNSUP_LAMBDAS, _flatten, _make_objective, encode
+
+from helpers import random_params, traced_peak, unblocked_encode
+
+B = _ENCODE_BLOCK
+
+
+def objective_instance(mode, seed=0):
+    """The train_unsup benchmark's shape (D=64, m=1000, hidden 48/32, 16 bits), and a
+    supervised one at m=500 over 10 classes: an L-BFGS objective, its start vector, the
+    network and data it runs on, and its Workspace."""
+    rng = np.random.default_rng(seed)
+    d, code_len = 64, 16
+    m = 1000 if mode == UNSUPERVISED else 500
+    x = rng.standard_normal((d, m))
+    sizes = [d, 48, 32, code_len] + ([d] if mode == UNSUPERVISED else [])
+    params = init_network(x, sizes, mode)
+    b = np.where(rng.standard_normal((code_len, m)) >= 0, 1.0, -1.0)
+    ws = Workspace(sizes, mode, m)
+    if mode == UNSUPERVISED:
+        hyper = unsup.UnsupHyper(*UNSUP_LAMBDAS, code_len=code_len, n_samples=m)
+        fun = _make_objective(params, lambda q: unsup.value_and_grad(q, x, b, hyper, ws))
+    else:
+        hyper = sup.SupHyper(*SUP_LAMBDAS, code_len=code_len, n_samples=m)
+        y = np.eye(10)[rng.integers(0, 10, m)]
+        fun = _make_objective(params, lambda q: sup.value_and_grad(q, x, b, y, hyper, ws))
+    return fun, _flatten(params), params, x, ws
+
+
+@pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
+def test_warm_objective_evaluation_allocates_less_than_one_input_array(mode):
+    fun, vec, _, x, _ = objective_instance(mode)
+    fun(vec)
+    (j, g), peak = traced_peak(lambda: fun(vec))
+    assert np.isfinite(j) and g.shape == vec.shape
+    assert peak < x.nbytes
+
+
+def test_encode_peak_beyond_its_output_does_not_grow_with_samples():
+    rng = np.random.default_rng(1)
+    params = random_params([32, 24, 16, 16, 32], [SIGMOID, SIGMOID, LINEAR, LINEAR], UNSUPERVISED, rng)
+    extra = []
+    for n in (2 * B, 8 * B):
+        x = rng.standard_normal((32, n))
+        codes, peak = traced_peak(lambda: encode(params, x))
+        assert codes.count == n
+        extra.append(peak - codes.packed.nbytes)
+    # one block's forward pass; a full-width pass over 8 B columns would need 4x the 2 B one
+    assert extra[1] <= extra[0] + 4096
+
+
+def code_network(code_len, mode, seed):
+    rng = np.random.default_rng(seed)
+    sizes = [12, 20, code_len] + ([12] if mode == UNSUPERVISED else [])
+    acts = [SIGMOID, LINEAR] + ([LINEAR] if mode == UNSUPERVISED else [])
+    return random_params(sizes, acts, mode, rng, scale=1.0), rng
+
+
+@pytest.mark.parametrize("code_len, mode", [(8, SUPERVISED), (16, UNSUPERVISED), (64, SUPERVISED),
+                                            (65, UNSUPERVISED)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_blocked_encode_equals_one_full_width_pass(code_len, mode, order):
+    params, rng = code_network(code_len, mode, code_len)
+    for n in (1, B - 1, B, B + 1, 3 * B + 7):
+        x = np.asarray(rng.standard_normal((12, n)) * 3.0, order=order)
+        got, want = encode(params, x), unblocked_encode(params, x)
+        assert (got.code_len, got.count) == (code_len, n)
+        assert np.array_equal(got.packed, want.packed)
+        got.validate()
+
+
+def test_non_finite_activation_in_the_last_block_is_reported():
+    params, rng = code_network(8, SUPERVISED, 3)
+    params.activations = [LINEAR, LINEAR]
+    params.weights[0][:] = 1.0
+    x = rng.standard_normal((12, B + 1))
+    x[:, B] = 1e308  # finite input whose first-layer sum overflows, in the one-column last block
+    with pytest.raises(ValueError, match="non-finite activations at layer 2"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        encode(params, x)
+    assert encode(params, x[:, :B]).count == B
+
+
+@pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
+def test_consecutive_evaluations_return_distinct_gradients(mode):
+    # L-BFGS keeps g and g_new from consecutive evaluations
+    fun, vec, _, _, _ = objective_instance(mode)
+    g1 = fun(vec)[1]
+    kept = g1.copy()
+    g2 = fun(vec * 0.99)[1]
+    assert not np.shares_memory(g1, g2)
+    assert np.array_equal(g1, kept)
+    assert not np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
+def test_forward_trace_is_not_changed_by_a_later_evaluation(mode):
+    # the code step reads forward()'s trace; it must not alias the objective's workspace
+    fun, vec, params, x, ws = objective_instance(mode)
+    trace = forward(params, x, upto=code_layer(mode, params.n_layers))
+    kept = [h.copy() for h in trace.H]
+    fun(vec * 1.01)
+    for h, h0 in zip(trace.H, kept):
+        assert np.array_equal(h, h0)
+        for buf in ws.acts + ws.back + ws.deriv + [ws.tmp, ws.sq]:
+            assert not np.shares_memory(h, buf)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashlearn.network import (LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, NetworkParams,
-                               activate, code_layer, default_activations, forward, sgn)
+                               activate, check_finite, code_layer, default_activations, forward, sgn)
 
 from helpers import naive_forward_column, random_params
 
@@ -97,6 +97,15 @@ def test_forward_rejects_nonfinite_production():
                            [LINEAR, LINEAR], SUPERVISED)
     with pytest.raises(ValueError), np.errstate(over="ignore"):
         forward(params, np.full((2, 2), 1e10))
+
+
+def test_check_finite_passes_a_finite_array_whose_sum_overflows():
+    with np.errstate(all="raise"):
+        check_finite("a", np.array([[1e308, 1e308], [1e308, -1.0]]))
+        check_finite("a", np.zeros((3, 0)))
+        # +inf and -inf sum to NaN; the first in row-major order is named
+        with pytest.raises(ValueError, match=r"a has non-finite value inf at \(row 0, column 1\)"):
+            check_finite("a", np.array([[1.0, np.inf], [-np.inf, 2.0]]))
 
 
 def test_params_validate_rejects_mismatch():

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +14,7 @@ from hashlearn.trainer import (SUP_LAMBDAS, UNSUP_LAMBDAS, TrainConfig, _final_s
                                _make_objective, _rebuild, _should_abort, default_layer_sizes, derive_seed, encode,
                                train_supervised, train_unsupervised)
 
-from helpers import random_params
+from helpers import random_params, traced_peak
 
 REL_TOL = 1e-7   # outer-loop monotonicity tolerance, relative
 
@@ -360,11 +359,6 @@ def test_supervised_training_builds_no_m_by_m_array():
     cfg = small_sup_config(16, 8, n_per_class=200)
     cfg.max_iter = 1
     cfg.lbfgs_initial = cfg.lbfgs_subsequent = 2
-    tracemalloc.start()
-    try:
-        res = train_supervised(x, labels, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: train_supervised(x, labels, cfg))
     assert res.codes.count == m
     assert peak < m * m * 8
