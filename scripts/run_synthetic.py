@@ -46,17 +46,16 @@ def main(argv=None):
     n_db = args.samples - args.queries
     db, db_labels = x[:, :n_db], labels[:n_db]
     q, q_labels = x[:, n_db:], labels[n_db:]
-    hidden = (args.dims, args.dims) if args.bits >= args.dims else None
 
     print("training reconstruction model on %d samples ..." % n_db)
     ures = train_unsupervised(db, TrainConfig.defaults(
-        UNSUPERVISED, args.dims, args.bits, hidden=hidden, center_inputs=True, seed=args.seed))
+        UNSUPERVISED, args.dims, args.bits, center_inputs=True, seed=args.seed))
     print("  status %s, final loss %.5f" % (ures.status, ures.loss_trace[-1]))
 
     per_class = int(np.bincount(db_labels).min())
     print("training pairwise-label model (%d per class) ..." % per_class)
     sres = train_supervised(db, db_labels, TrainConfig.defaults(
-        SUPERVISED, args.dims, args.bits, hidden=hidden, n_per_class=per_class,
+        SUPERVISED, args.dims, args.bits, n_per_class=per_class,
         center_inputs=True, seed=args.seed))
     print("  status %s, final loss %.5f" % (sres.status, sres.loss_trace[-1]))
 

@@ -1,7 +1,8 @@
 """Deep-network binary hashing with alternating continuous/discrete optimization.
 
 Data convention used throughout: matrices hold one sample per column, so a
-dataset of m points in D dimensions is a (D, m) float64 array.  Binary codes
+dataset of m points in D dimensions is a (D, m) array.  The loaders keep the
+file's element type; the numeric entry points cast to float64.  Binary codes
 live in {-1, +1} as (L, m) arrays until packed for storage.
 """
 

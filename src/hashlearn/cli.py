@@ -79,23 +79,9 @@ def _train_config_from(args, n_dims):
 
 
 def _effective_config(cfg, args):
-    return {
-        "mode": cfg.mode,
-        "bits": cfg.code_len,
-        "layer_sizes": list(cfg.layer_sizes),
-        "lambda1": cfg.lambda1,
-        "lambda2": cfg.lambda2,
-        "lambda3": cfg.lambda3,
-        "lambda4": cfg.lambda4,
-        "max_iter": cfg.max_iter,
-        "ns": cfg.n_per_class,
-        "seed": cfg.seed,
-        "center": cfg.center_inputs,
-        "itq_iters": cfg.itq_iters,
-        "data": args.data,
-        "labels": args.labels,
-        "format": args.format,
-    }
+    settings = {flag: getattr(cfg, _FIELD_OF_FLAG.get(flag, flag)) for flag in _CONFIG_FLAGS}
+    return {**settings, "mode": cfg.mode, "bits": cfg.code_len, "layer_sizes": list(cfg.layer_sizes),
+            "data": args.data, "labels": args.labels, "format": args.format}
 
 
 def _derived_path(out, suffix):

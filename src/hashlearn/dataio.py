@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hashlearn.evaluation import BinaryCodes
-from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, NetworkParams
+from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, NetworkParams, first_nonfinite
 
 MODEL_MAGIC = b"DHNN"
 CODES_MAGIC = b"DHCB"
@@ -41,7 +41,9 @@ _ACT_NAMES = {v: k for k, v in _ACT_BYTES.items()}
 
 @dataclass
 class Dataset:
-    """Feature matrix (D, m), one sample per column, with optional labels."""
+    """Feature matrix (D, m), one sample per column, with optional labels.  x keeps the
+    file's element type (float32 fvecs, uint8 idx / bvecs, float64 csv) and may be a read-only
+    view of the file's bytes; the numeric entry points cast it to float64 themselves."""
 
     x: np.ndarray
     labels: np.ndarray | None = None
@@ -78,9 +80,9 @@ class _Reader:
 
 def _reject_nonfinite(path, what, arr):
     """Name the first NaN/Inf entry of a (records, columns) array."""
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        r, c = bad[0]
+    bad = first_nonfinite(arr)
+    if bad is not None:
+        r, c = bad
         raise ValueError("%s: %s %d column %d is %r, expected a finite number" % (path, what, r, c, float(arr[r, c])))
 
 
@@ -99,7 +101,7 @@ def load_idx(images_path, labels_path=None):
         raise ValueError("%s: bad header counts (%d, %d, %d)" % (images_path, count, rows, cols))
     pixels = np.frombuffer(r.take(count * rows * cols, "pixels"), dtype=np.uint8)
     r.done()
-    x = pixels.reshape(count, rows * cols).T.astype(np.float64)
+    x = pixels.reshape(count, rows * cols).T
 
     labels = None
     if labels_path is not None:
@@ -115,12 +117,9 @@ def load_idx(images_path, labels_path=None):
 
 
 def load_xvecs(path, element="float32"):
-    """Dimension-prefixed vector files (fvecs / bvecs) into a Dataset."""
-    if element == "float32":
-        elem_size, dtype = 4, np.dtype("<f4")
-    elif element == "uint8":
-        elem_size, dtype = 1, np.uint8
-    else:
+    """Dimension-prefixed vector files (fvecs / bvecs) into a Dataset of float32 / uint8 values."""
+    elem = {"float32": "<f4", "uint8": "u1"}.get(element)
+    if elem is None:
         raise ValueError("element must be 'float32' or 'uint8', got %r" % (element,))
     data = _read_file(path)
     if len(data) < 4:
@@ -128,19 +127,16 @@ def load_xvecs(path, element="float32"):
     d = struct.unpack("<i", data[:4])[0]
     if d <= 0:
         raise ValueError("%s: record dimension %d must be positive" % (path, d))
-    rec_size = 4 + d * elem_size
-    if len(data) % rec_size != 0:
+    record = np.dtype([("dim", "<i4"), ("v", elem, (d,))])
+    if len(data) % record.itemsize != 0:
         raise ValueError("%s: size %d is not a whole number of %d-byte records"
-                         % (path, len(data), rec_size))
-    count = len(data) // rec_size
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(count, rec_size)
-    dims = raw[:, :4].copy().view("<i4").ravel()
-    if not np.all(dims == d):
-        bad = int(np.flatnonzero(dims != d)[0])
-        raise ValueError("%s: record %d has dimension %d, expected %d" % (path, bad, dims[bad], d))
-    body = raw[:, 4:].copy().view(dtype)
-    _reject_nonfinite(path, "record", body)
-    return Dataset(body.astype(np.float64).T)
+                         % (path, len(data), record.itemsize))
+    records = np.frombuffer(data, dtype=record)
+    bad = np.flatnonzero(records["dim"] != d)
+    if bad.size:
+        raise ValueError("%s: record %d has dimension %d, expected %d" % (path, bad[0], records["dim"][bad[0]], d))
+    _reject_nonfinite(path, "record", records["v"])
+    return Dataset(records["v"].T)
 
 
 def load_csv(path, labels=False, header=None):

@@ -182,14 +182,20 @@ def forward(params, x, upto=None):
     return trace
 
 
+def first_nonfinite(a):
+    """Index of the first NaN/Inf entry of a, or None.  Any NaN/Inf makes the float64 sum
+    non-finite, so a finite sum rules them out with no mask the size of a."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.sum(a, dtype=np.float64)):
+            return None
+    bad = np.argwhere(~np.isfinite(a))
+    return tuple(int(i) for i in bad[0]) if bad.size else None
+
+
 def check_finite(name, a):
     """Reject NaN/Inf, naming the argument and the first bad (row, column)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(np.sum(a)):  # any NaN/Inf entry makes the sum non-finite; no mask the size of a
-            return
-    finite = np.isfinite(a)
-    if not finite.all():
-        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
+    idx = first_nonfinite(a)
+    if idx is not None:
         where = "(row %d, column %d)" % idx if len(idx) == 2 else "index %s" % (idx,)
         raise ValueError("%s has non-finite value %r at %s" % (name, float(a[idx]), where))
 

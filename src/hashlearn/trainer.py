@@ -8,6 +8,7 @@ update with a warm-started L-BFGS refit for max_iter outer iterations.
 
 import zlib
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,11 +42,12 @@ def derive_seed(seed, name):
 
 def default_layer_sizes(mode, n_dims, code_len, hidden=None):
     """Stock layer widths: two hidden layers, then the code layer, plus a
-    reconstruction layer back to the input in unsupervised mode."""
+    reconstruction layer back to the input in unsupervised mode.  Stock hidden widths
+    are capped at the width before them, as eigenvector init needs; explicit ones are not."""
     if hidden is None:
         if code_len not in DEFAULT_HIDDEN:
             raise ValueError("no default hidden sizes for %d bits; pass them explicitly" % code_len)
-        hidden = DEFAULT_HIDDEN[code_len]
+        hidden = list(accumulate(DEFAULT_HIDDEN[code_len], min, initial=n_dims))[1:]
     sizes = [int(n_dims)] + [int(h) for h in hidden] + [int(code_len)]
     if mode == UNSUPERVISED:
         sizes.append(int(n_dims))
@@ -184,7 +186,7 @@ def _train(x, labels, config, mode):
     config.validate()
     if config.mode != mode:
         raise ValueError("config.mode is %r, expected %r" % (config.mode, mode))
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != config.layer_sizes[0]:
         raise ValueError("data has shape %s, expected (%d, m)" % (x.shape, config.layer_sizes[0]))
     check_finite("x", x)
@@ -197,6 +199,7 @@ def _train(x, labels, config, mode):
                                          derive_seed(config.seed, "subset-selection"))
         subset = pair.sample_indices
         x = x[:, subset]
+    x = np.asarray(x, dtype=np.float64)  # the one cast, after the supervised subset is taken
     mu = None
     if config.center_inputs:
         mu = x.mean(axis=1)
@@ -242,7 +245,7 @@ def _train(x, labels, config, mode):
 def encode(params, x_new):
     """Binary codes for new samples: forward to the code layer, take signs (ties to +1).
     Runs on blocks of _ENCODE_BLOCK columns, packing each straight into the output."""
-    x_new = np.asarray(x_new, dtype=np.float64)
+    x_new = np.asarray(x_new)  # forward() casts each block to float64
     check_finite("x_new", x_new)
     layer = code_layer(params.mode, params.n_layers)
     if x_new.ndim != 2:

@@ -6,6 +6,7 @@ public parameter containers.
 """
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -394,3 +395,9 @@ def unblocked_encode(params, x):
     oracle for trainer.encode, which works in column blocks."""
     trace = forward(params, np.asarray(x, dtype=np.float64), upto=code_layer(params.mode, params.n_layers))
     return BinaryCodes.from_sign_matrix(sgn(trace.H[-1]))
+
+
+def write_xvecs(path, x):
+    """A (D, n) float32 or uint8 array as fvecs / bvecs records, one per column; returns str(path)."""
+    path.write_bytes(b"".join(struct.pack("<i", x.shape[0]) + x[:, j].tobytes() for j in range(x.shape[1])))
+    return str(path)

@@ -70,11 +70,18 @@ def code_network(code_len, mode, seed):
 
 @pytest.mark.parametrize("code_len, mode", [(8, SUPERVISED), (16, UNSUPERVISED), (64, SUPERVISED),
                                             (65, UNSUPERVISED)])
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_blocked_encode_equals_one_full_width_pass(code_len, mode, order):
+@pytest.mark.parametrize("layout", ["C", "F", "float32-strided"])
+def test_blocked_encode_equals_one_full_width_pass(code_len, mode, layout):
     params, rng = code_network(code_len, mode, code_len)
     for n in (1, B - 1, B, B + 1, 3 * B + 7):
-        x = np.asarray(rng.standard_normal((12, n)) * 3.0, order=order)
+        x = rng.standard_normal((12, n)) * 3.0
+        if layout == "float32-strided":
+            # as load_xvecs returns fvecs data: float32 columns of (dim, values) records
+            records = np.zeros(n, dtype=[("dim", "<i4"), ("v", "<f4", (12,))])
+            records["v"] = x.T
+            x = records["v"].T
+        else:
+            x = np.asarray(x, order=layout)
         got, want = encode(params, x), unblocked_encode(params, x)
         assert (got.code_len, got.count) == (code_len, n)
         assert np.array_equal(got.packed, want.packed)

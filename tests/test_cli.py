@@ -1,19 +1,18 @@
 import dataclasses
 import json
-import struct
 
 import numpy as np
 import pytest
 
 import hashlearn.cli as cli
 from hashlearn.cli import main
-from hashlearn.dataio import load_codes, load_gt, save_codes, save_gt
+from hashlearn.dataio import load_codes, load_gt, save_codes, save_gt, save_model
 from hashlearn.evaluation import BinaryCodes, label_gt
-from hashlearn.network import SUPERVISED, UNSUPERVISED
+from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED
 from hashlearn.toydata import gaussian_clusters
 from hashlearn.trainer import TrainConfig
 
-from helpers import loop_knn_gt
+from helpers import loop_knn_gt, random_params, write_xvecs
 
 
 def write_csv(path, x, labels=None):
@@ -104,9 +103,32 @@ def test_unsup_train_and_gt_euclid(tmp_path, clusters):
         assert idx[0] in range(90)
 
 
-def write_bvecs(path, x):
-    path.write_bytes(b"".join(struct.pack("<i", x.shape[0]) + x[:, j].tobytes() for j in range(x.shape[1])))
-    return str(path)
+def run_encode_and_gt(tmp_path, model, db_path, q_path, tag):
+    """The bytes `hashlearn encode` writes for both inputs and `hashlearn gt` for the pair."""
+    outs = [tmp_path / ("%s-%s" % (tag, f)) for f in ("db.dhcb", "q.dhcb", "e.gt")]
+    assert main(["encode", "--model", model, "--data", db_path, "--out", str(outs[0])]) == 0
+    assert main(["encode", "--model", model, "--data", q_path, "--out", str(outs[1])]) == 0
+    assert main(["gt", "--data", db_path, "--queries", q_path, "--gt-k", "5", "--out", str(outs[2])]) == 0
+    return [o.read_bytes() for o in outs]
+
+
+@pytest.mark.parametrize("ext", ["fvecs", "bvecs"])
+def test_encode_and_gt_on_xvecs_write_the_bytes_of_the_csv_path(tmp_path, ext):
+    # CSV is read as float64, so its stages are the reference for the file's own element type
+    rng = np.random.default_rng(5)
+    dtype, scale = ("<f4", 40.0) if ext == "fvecs" else ("u1", 1.0)
+    db, q = ((rng.standard_normal((12, n)) * scale + 100.0).clip(0, 255).astype(dtype) for n in (1100, 20))
+    model = str(tmp_path / "m.dhnn")
+    save_model(random_params([12, 10, 16], [SIGMOID, LINEAR], SUPERVISED, rng, scale=0.05), model)
+    csv = []
+    for name, x in (("db", db), ("q", q)):
+        csv.append(str(tmp_path / (name + ".csv")))
+        np.savetxt(csv[-1], x.T.astype(np.float64), fmt="%.17g", delimiter=",")
+    got = run_encode_and_gt(tmp_path, model, write_xvecs(tmp_path / ("db." + ext), db),
+                            write_xvecs(tmp_path / ("q." + ext), q), ext)
+    assert got == run_encode_and_gt(tmp_path, model, *csv, "csv")
+    bits = np.unpackbits(np.frombuffer(got[0], dtype=np.uint8)[17:])
+    assert 0.2 < bits.mean() < 0.8  # codes that vary, so equal bytes say something
 
 
 def test_gt_euclid_on_sift_like_bvecs(tmp_path):
@@ -115,8 +137,8 @@ def test_gt_euclid_on_sift_like_bvecs(tmp_path):
     db[:, 300:400] = db[:, :100]  # duplicate rows tie exactly
     queries = np.concatenate([db[:, :5], rng.integers(0, 256, (128, 15), dtype=np.uint8)], axis=1)
     gt_path = str(tmp_path / "sift.gt")
-    assert main(["gt", "--method", "euclid", "--data", write_bvecs(tmp_path / "db.bvecs", db),
-                 "--queries", write_bvecs(tmp_path / "q.bvecs", queries), "--gt-k", "10", "--out", gt_path]) == 0
+    assert main(["gt", "--method", "euclid", "--data", write_xvecs(tmp_path / "db.bvecs", db),
+                 "--queries", write_xvecs(tmp_path / "q.bvecs", queries), "--gt-k", "10", "--out", gt_path]) == 0
     got = load_gt(gt_path)
     want = loop_knn_gt(db.astype(np.float64), queries.astype(np.float64), 10)
     assert len(got) == 20

@@ -1,3 +1,4 @@
+import os
 import struct
 import warnings
 
@@ -9,7 +10,7 @@ from hashlearn.dataio import (Dataset, load_codes, load_csv, load_dataset, load_
 from hashlearn.evaluation import BinaryCodes
 from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED
 
-from helpers import random_params
+from helpers import random_params, traced_peak, write_xvecs
 
 
 def write(path, data):
@@ -29,7 +30,7 @@ def test_idx_fixture_exact_pixels(tmp_path):
     img = write(tmp_path / "img", idx_images(2, 2, 2, [0, 1, 2, 3, 250, 251, 252, 253]))
     lab = write(tmp_path / "lab", idx_labels(2, [7, 9]))
     ds = load_idx(img, lab)
-    assert ds.x.shape == (4, 2)
+    assert ds.x.shape == (4, 2) and ds.x.dtype == np.uint8
     assert ds.x[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
     assert ds.x[:, 1].tolist() == [250.0, 251.0, 252.0, 253.0]
     assert ds.labels.tolist() == [7, 9]
@@ -143,6 +144,37 @@ def test_xvecs_rejects_nonfinite_features(tmp_path):
     path = write(tmp_path / "bad.fvecs", fvecs_record([1.0, 2.0, 3.0]) + fvecs_record([4.0, 5.0, float("-inf")]))
     with pytest.raises(ValueError, match=r"bad\.fvecs: record 1 column 2 is -inf"):
         load_xvecs(path, "float32")
+
+
+def xvecs_values(element, shape, seed=3):
+    rng = np.random.default_rng(seed)
+    if element == "uint8":
+        return rng.integers(0, 256, shape, dtype=np.uint8)
+    # magnitudes from subnormal to near the float32 maximum, plus signed zeros
+    x = (rng.standard_normal(shape) * 10.0 ** rng.integers(-44, 37, shape)).astype("<f4")
+    x[0, :4] = [-0.0, 0.0, np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max]
+    return x
+
+
+@pytest.mark.parametrize("element", ["float32", "uint8"])
+def test_xvecs_keeps_the_file_element_type(tmp_path, element):
+    x = xvecs_values(element, (7, 50))
+    ds = load_xvecs(write_xvecs(tmp_path / "v.xvecs", x), element)
+    assert ds.x.dtype == np.dtype(element) and ds.x.shape == (7, 50)
+    assert not ds.x.flags.writeable  # a view of the file's bytes
+    # every value equals its float64 value, which the numeric entry points compute
+    assert np.array_equal(ds.x, x.astype(np.float64))
+
+
+@pytest.mark.parametrize("element", ["float32", "uint8"])
+def test_xvecs_peak_is_the_file_buffer(tmp_path, element):
+    path = write_xvecs(tmp_path / "v.xvecs", xvecs_values(element, (128, 8000 if element == "uint8" else 2000)))
+    ds, peak = traced_peak(lambda: load_xvecs(path, element))
+    assert ds.n_samples > 0
+    # one buffer of the file's bytes and numpy's fixed-size (about 64 KiB) casting buffer
+    # for the finiteness sum; no copy of the values and no float64 array
+    assert peak <= os.path.getsize(path) + 131072
+
 
 def test_model_round_trip_both_modes(tmp_path):
     rng = np.random.default_rng(0)

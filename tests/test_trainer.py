@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import hashlearn.unsupervised as unsup
 from hashlearn.evaluation import BinaryCodes
+from hashlearn.initialization import init_network
 from hashlearn.lbfgs import minimize
 from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, code_layer, forward, sgn, split_flat
 from hashlearn.toydata import gaussian_clusters
@@ -40,10 +41,23 @@ def test_default_layer_sizes_stock_shapes():
     assert default_layer_sizes(SUPERVISED, 784, 16) == [784, 90, 30, 16]
     assert default_layer_sizes(UNSUPERVISED, 320, 8) == [320, 90, 20, 8, 320]
     assert default_layer_sizes(SUPERVISED, 320, 32) == [320, 120, 50, 32]
-    assert default_layer_sizes(SUPERVISED, 64, 64) == [64, 160, 110, 64]
+    # stock widths are capped at the width before them on narrow data
+    assert default_layer_sizes(SUPERVISED, 64, 64) == [64, 64, 64, 64]
+    assert default_layer_sizes(UNSUPERVISED, 100, 32) == [100, 100, 50, 32, 100]
+    assert default_layer_sizes(UNSUPERVISED, 16, 8) == [16, 16, 16, 8, 16]
     with pytest.raises(ValueError):
         default_layer_sizes(UNSUPERVISED, 64, 12)
     assert default_layer_sizes(UNSUPERVISED, 20, 12, hidden=(15,)) == [20, 15, 12, 20]
+    assert default_layer_sizes(SUPERVISED, 64, 16, hidden=(90, 30)) == [64, 90, 30, 16]
+
+
+@pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
+def test_stock_widths_initialize_on_narrow_data_and_explicit_ones_fail_loudly(mode):
+    x = np.random.default_rng(0).standard_normal((64, 200))
+    params = init_network(x, TrainConfig.defaults(mode, 64, 16).layer_sizes, mode)
+    assert params.layer_sizes[:4] == [64, 64, 30, 16]
+    with pytest.raises(ValueError, match="64 -> 90"):
+        init_network(x, TrainConfig.defaults(mode, 64, 16, hidden=(90, 30)).layer_sizes, mode)
 
 
 def test_config_defaults_per_mode():
