@@ -13,6 +13,8 @@ import numpy as np
 
 from hashlearn.network import check_finite
 
+_F32 = np.finfo(np.float32)
+
 
 def _bytes_per_code(code_len):
     return (code_len + 7) // 8
@@ -79,46 +81,75 @@ def _distances(words, q, code_len):
 
 
 def _scan_knn(database, q, k):
-    """Exact k nearest columns of one query: every distance by differences, stable sort."""
-    d = np.sum((database - q[:, None]) ** 2, axis=0)
+    """Exact k nearest columns of one query: every distance by float64 differences, stable sort."""
+    d = np.sum((database - np.asarray(q, dtype=np.float64)[:, None]) ** 2, axis=0)
     idx = np.argsort(d, kind="stable")[:k]
     if not np.isfinite(d[idx[-1]]):
         raise ValueError("squared distances overflow float64 among the %d nearest columns" % k)
     return idx.astype(np.int64)
 
 
-def _certified_block(database, block, sq_norms, max_norm, k, n_cand):
+def _shifted_float32(a, shift):
+    """a - shift rounded once to float32, with the float64 squared norms of its columns.
+
+    The difference is taken in the inputs' common type (float32 for float32 and uint8 data,
+    float64 for float64 data) through the ufunc's fixed-size buffers, so no float64 array
+    the size of a is made.  A value beyond the float32 range rounds to inf.
+    """
+    out = np.empty_like(a, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        np.subtract(a, shift[:, None], out=out)
+    return out, np.einsum("ij,ij->j", out, out, dtype=np.float64)
+
+
+def _certified_block(database, shifted, sq_norms, block, shift, k, n_cand):
     """k nearest columns of each query column in block, or None where the certificate fails.
 
-    One GEMM gives the block's distances as ||x||^2 - 2 q^T x + ||q||^2; each
-    query's n_cand smallest are re-ranked by the differences, as _scan_knn
-    ranks them.  Both forms are within (D + 2) eps / 2 (max||x|| + ||q||)^2 of
-    the true distance (Cauchy-Schwarz for q^T x, nonnegative terms for the
-    differences), so when the k-th re-ranked distance is below the smallest
-    excluded GEMM distance by twice (D + 3) (eps (max||x|| + ||q||)^2 + the
-    smallest subnormal, for underflow), no excluded column can rank among the
-    first k.
+    Distances do not change under translation, so the candidates come from x - s and
+    q - s rounded to float32 (`shifted` and `sq_norms` from _shifted_float32 of the
+    database).  One float32 GEMM of -2 (q - s) against `shifted`, plus the norms, gives
+    g = ||x - s||^2 - 2 (q - s)^T (x - s); ||q - s||^2 is added to the threshold instead.
+    The columns below each query's (n_cand + 1)-th smallest g are re-ranked by float64
+    differences of the original values, as _scan_knn ranks them.
+
+    Certificate.  Let u = eps / 2 be the float32 unit roundoff, eta the smallest float32
+    subnormal and r = max ||x - s|| + ||q - s||, from the rounded columns' float64 norms.
+    Up to factors 1 + O(u), g + ||q - s||^2 differs from the exact distance by at most
+      - 3 u r^2 + 2 eta from rounding x - s and q - s to float32;
+      - gamma_D r^2 / 2 + D eta from the GEMM, in any summation order, with or without
+        FMA (|2 (q - s)^T (x - s)| <= r^2 / 2 and gamma_D = D u / (1 - D u));
+      - 2 u r^2 + eta from rounding the norms to float32 and adding them to the GEMM;
+    and the float64 norms, the scan's own sums and the threshold arithmetic add less
+    than u r^2.  For D <= 2^22, gamma_D <= 2 D u, and the total is below
+    (D + 8)(eps r^2 + eta).  So when the k-th re-ranked distance is below the smallest
+    excluded g + ||q - s||^2 by that bound, no excluded column ranks among the first k.
+    No float32 value overflows while r^2 < max / 2.  Beyond that, which includes a
+    column or query whose float32 cast overflowed (r = inf), the query fails.
     """
     dim = database.shape[0]
-    approx = block.T @ database
-    approx *= -2.0
-    approx += sq_norms
-    q_sq = np.einsum("ij,ij->j", block, block)
-    approx += q_sq[:, None]
-    bounds = 2.0 * (dim + 3) * (np.finfo(np.float64).eps * (max_norm + np.sqrt(q_sq)) ** 2
-                                + np.finfo(np.float64).smallest_subnormal)
+    scaled, q_sq = _shifted_float32(block, shift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled *= -2.0
+        approx = scaled.T @ shifted
+        approx += sq_norms.astype(np.float32)
+    reach = (np.sqrt(sq_norms.max()) + np.sqrt(q_sq)) ** 2
+    bounds = (dim + 8) * (_F32.eps * reach + _F32.smallest_subnormal)
     # np.sum adds rows in sequence on row-major data but pairwise down each column on
     # column-major data; gathering the candidates in the database's memory order keeps
     # their distances bit-identical to the scan's
     column_major = abs(database.strides[0]) < abs(database.strides[1])
     out = []
-    for q, g, bound in zip(block.T, approx, bounds):
-        part = np.argpartition(g, n_cand)
-        cand = np.sort(part[:n_cand])
+    for q, g, q_norm, bound, fits in zip(np.asarray(block, dtype=np.float64).T, approx, q_sq, bounds,
+                                         reach < _F32.max / 2):
+        if not fits:
+            out.append(None)
+            continue
+        edge = np.partition(g, n_cand)[n_cand]  # no excluded column is below it
+        cand = np.flatnonzero(g < edge)
         near = database[:, cand] if column_major else database.take(cand, axis=1)
         d = np.sum((near - q[:, None]) ** 2, axis=0)
         order = np.argsort(d, kind="stable")[:k]
-        out.append(cand[order] if d[order[-1]] < g[part[n_cand]] - bound else None)
+        out.append(cand[order] if order.size == k and d[order[-1]] < edge + q_norm - bound else None)
     return out
 
 
@@ -126,12 +157,16 @@ def euclidean_knn_gt(database, queries, k):
     """k nearest database columns per query column under squared Euclidean distance.
 
     Ties resolve toward the lower database index.  Returns a list of index
-    arrays, one per query.  Candidates come from blocked GEMM distances and are
-    ranked exactly; a query whose ranking the rounding bound cannot certify
-    falls back to the exact scan, so the result is always the scan's.
+    arrays, one per query.  The inputs keep their element type (float64,
+    float32, uint8, ...); no float64 copy of the database is made.  Candidates
+    come from one float32 GEMM per block of D // 2 queries, on the database and
+    queries shifted by the database mean, and are ranked exactly in float64
+    from the original values.  A query whose ranking the float32 rounding bound
+    cannot certify falls back to the exact float64 scan, so the result is
+    always the scan's.
     """
-    database = np.asarray(database, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
+    database = np.asarray(database)
+    queries = np.asarray(queries)
     if database.ndim != 2 or queries.ndim != 2 or database.shape[0] != queries.shape[0]:
         raise ValueError("database and queries must be (D, *) arrays with equal D")
     check_finite("database", database)
@@ -140,14 +175,17 @@ def euclidean_knn_gt(database, queries, k):
     if not 1 <= k <= n:
         raise ValueError("k=%d out of range for %d database items" % (k, n))
     n_cand = 2 * k + 16
-    if n_cand >= n:
+    if n_cand >= n or dim > 2**22:  # the certificate's bound needs D <= 2^22
         return [_scan_knn(database, q, k) for q in queries.T]
-    sq_norms = np.einsum("ij,ij->j", database, database)
-    max_norm = np.sqrt(sq_norms.max())
-    step = max(1, dim // 2)  # a (step, n) block: half the scan's (D, n) temporary
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = database.mean(axis=1, dtype=np.float64)
+    # any finite float32 shift keeps the result; the mean keeps rounding to the data's spread
+    shift = np.where(np.abs(mean) < _F32.max, mean, 0.0).astype(np.float32)
+    shifted, sq_norms = _shifted_float32(database, shift)
+    step = max(1, dim // 2)  # a (step, n) float32 block: a quarter of the scan's (D, n) temporary
     out = []
     for start in range(0, queries.shape[1], step):
-        out += _certified_block(database, queries[:, start:start + step], sq_norms, max_norm, k, n_cand)
+        out += _certified_block(database, shifted, sq_norms, queries[:, start:start + step], shift, k, n_cand)
     return [_scan_knn(database, q, k) if idx is None else idx for q, idx in zip(queries.T, out)]
 
 
