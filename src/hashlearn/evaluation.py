@@ -201,13 +201,17 @@ def label_gt(db_labels, query_labels):
 def validate_ground_truth(gt, db_size, n_queries):
     if len(gt) != n_queries:
         raise ValueError("ground truth covers %d queries, expected %d" % (len(gt), n_queries))
+    last = np.empty(db_size, dtype=np.intp)  # a position of each index in the current list
     for qi, idx in enumerate(gt):
-        idx = np.asarray(idx)
-        if idx.size and idx.dtype.kind not in "iu":
+        idx = np.asarray(idx).ravel()
+        if not idx.size:
+            continue
+        if idx.dtype.kind not in "iu":
             raise ValueError("ground truth for query %d holds %s, not integer indices" % (qi, idx.dtype))
-        if idx.size and (idx.min() < 0 or idx.max() >= db_size):
+        if idx.min() < 0 or idx.max() >= db_size:
             raise ValueError("ground truth for query %d has indices outside [0, %d)" % (qi, db_size))
-        if np.unique(idx).size != idx.size:
+        last[idx] = positions = np.arange(idx.size)  # a repeated index keeps one of its positions
+        if not np.array_equal(last[idx], positions):
             raise ValueError("ground truth for query %d has duplicate indices" % qi)
 
 

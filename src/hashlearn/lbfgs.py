@@ -37,22 +37,24 @@ def _two_loop(g, s_list, y_list, rho_list, gamma):
 
 
 def minimize(fun, x0, max_iters):
-    """Minimize fun(x) -> (value, gradient) starting from the 1-d float vector x0,
-    taking at most max_iters accepted steps.
+    """Minimize fun starting from the 1-d float vector x0, taking at most
+    max_iters accepted steps.  fun(x) returns (value, gradient); gradient() is
+    the gradient at x, called at most once, before the next call of fun, and
+    only at x0 and at trial points whose value passes the line search.
 
     Line search is backtracking with the Armijo sufficient-decrease test, so
-    the recorded history is non-increasing.  Curvature pairs are admitted to
-    the memory only when the curvature condition holds, which keeps the
-    implicit Hessian approximation positive definite.  Returns the best point
-    seen together with the history and a termination status.
+    the recorded history is non-increasing.  A trial point with a non-finite
+    value or gradient is rejected like one that fails the test.  Curvature
+    pairs are admitted to the memory only when the curvature condition holds,
+    which keeps the implicit Hessian approximation positive definite.  Returns
+    the best point seen together with the history and a termination status.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0, got %d" % max_iters)
     x = np.array(x0, dtype=np.float64)
-    fx, g = fun(x)
+    fx, gradient = fun(x)
     fx = float(fx)
-    g = np.asarray(g, dtype=np.float64)
-    if not np.isfinite(fx) or not np.all(np.isfinite(g)):
+    if not np.isfinite(fx) or not np.all(np.isfinite(g := np.asarray(gradient(), dtype=np.float64))):
         raise ValueError("objective returned non-finite value or gradient at the starting point")
     if g.shape != x.shape:
         raise ValueError("gradient shape %s does not match parameter shape %s" % (g.shape, x.shape))
@@ -81,11 +83,10 @@ def minimize(fun, x0, max_iters):
         accepted = False
         for _bt in range(_MAX_BACKTRACKS):
             x_new = x + t * d
-            f_new, g_new = fun(x_new)
+            f_new, gradient = fun(x_new)
             f_new = float(f_new)
-            g_new = np.asarray(g_new, dtype=np.float64)
-            if np.isfinite(f_new) and np.all(np.isfinite(g_new)) \
-                    and f_new <= fx + _SUFFICIENT_DECREASE * t * slope:
+            if np.isfinite(f_new) and f_new <= fx + _SUFFICIENT_DECREASE * t * slope \
+                    and np.all(np.isfinite(g_new := np.asarray(gradient(), dtype=np.float64))):
                 accepted = True
                 break
             t *= 0.5

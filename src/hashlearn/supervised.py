@@ -73,9 +73,9 @@ def _indicator_of(s, m):
 
 
 def value_and_grad(params, x, b, y, hyper, ws=None):
-    """Pairwise objective and its flat gradient (laid out as network.split_flat, a new array) from the
-    (m, C) class indicator y, in one forward pass in the Workspace ws (a new one if None).  Nothing is
-    validated: loss() and grad() are the checked entry points."""
+    """Pairwise objective from the (m, C) class indicator y and its gradient callable, as
+    unsupervised.value_and_grad returns them.  Nothing is validated: loss() and grad() are the
+    checked entry points."""
     m = hyper.n_samples
     n = params.n_layers
     if ws is None:
@@ -92,14 +92,18 @@ def value_and_grad(params, x, b, y, hyper, ws=None):
     j = fit_sq / (2.0 * m)
     j += _weight_decay(params, hyper)
     j += j_code
-    # (2 / (m L)) (hht h - 2 (hy y^T) + h1 1^T), in that order, in the code-layer scratch
-    fit = np.matmul(hht, h, out=ws.tmp)
-    fit -= np.multiply(np.matmul(hy, y.T, out=ws.sq), 2.0, out=ws.sq)
-    fit += h1[:, None]
-    fit *= 2.0 / (m * hyper.code_len)
-    pull += fit
-    delta = through_activation(params.activations[n - 2], pull, h, ws.deriv[-1])
-    return j, _backprop(params, trace, delta, n - 2, hyper.lambda1, ws)[0]
+
+    def gradient():
+        g = pull()
+        # (2 / (m L)) (hht h - 2 (hy y^T) + h1 1^T), in that order, in the code-layer scratch
+        fit = np.matmul(hht, h, out=ws.tmp)
+        fit -= np.multiply(np.matmul(hy, y.T, out=ws.sq), 2.0, out=ws.sq)
+        fit += h1[:, None]
+        fit *= 2.0 / (m * hyper.code_len)
+        g += fit
+        delta = through_activation(params.activations[n - 2], g, h, ws.deriv[-1])
+        return _backprop(params, trace, delta, n - 2, hyper.lambda1, ws)[0]
+    return j, gradient
 
 
 def loss(params, x, b, s, hyper):
@@ -114,7 +118,7 @@ def loss(params, x, b, s, hyper):
 def grad(params, x, b, s, hyper):
     """Gradient of loss() for every weight and bias block."""
     x, b = _check_objective_inputs(params, x, b, hyper, SUPERVISED)
-    g = value_and_grad(params, x, b, _indicator_of(s, hyper.n_samples), hyper)[1]
+    g = value_and_grad(params, x, b, _indicator_of(s, hyper.n_samples), hyper)[1]()
     return GradientSet(*split_flat(g, params.layer_sizes))
 
 

@@ -139,13 +139,15 @@ def _rebuild(vec, template):
 
 
 def _make_objective(template, value_and_grad):
+    """minimize()'s objective; overflow is ignored, and a trial step that overflows reads +inf."""
     def fun(vec):
         with np.errstate(over="ignore", invalid="ignore"):
-            j, g = value_and_grad(_rebuild(vec, template))
-        if not np.isfinite(j):
-            # a trial step overflowed; report +inf so the line search backs off
-            return np.inf, np.zeros_like(vec)
-        return j, g
+            j, gradient = value_and_grad(_rebuild(vec, template))
+
+        def quiet_gradient():
+            with np.errstate(over="ignore", invalid="ignore"):
+                return gradient()
+        return (j if np.isfinite(j) else np.inf), quiet_gradient
     return fun
 
 

@@ -68,18 +68,23 @@ def _check_objective_inputs(params, x, b, hyper, mode):
 
 
 def _code_layer_terms(h, b, gram, rowsums, hyper, ws):
-    """Quantization, decorrelation and balance penalties at the code layer, and their gradient in h
-    (written to ws.back[-1]), from the code-layer Gram matrix h h^T and row sums h 1."""
+    """Quantization, decorrelation and balance penalties at the code layer, from the code-layer
+    Gram matrix h h^T and row sums h 1, and a callable that writes their gradient in h to
+    ws.back[-1] and returns it."""
     m = hyper.n_samples
     corr = gram / m - np.eye(h.shape[0])
-    g = np.subtract(h, b, out=ws.back[-1])
-    j = (hyper.lambda2 / (2.0 * m)) * frobenius_sq(g, out=ws.sq)
+    np.subtract(h, b, out=ws.back[-1])
+    j = (hyper.lambda2 / (2.0 * m)) * frobenius_sq(ws.back[-1], out=ws.sq)
     j += (hyper.lambda3 / 2.0) * frobenius_sq(corr)
     j += (hyper.lambda4 / (2.0 * m)) * float(np.sum(rowsums ** 2))
-    g *= hyper.lambda2 / m
-    g += np.multiply(np.matmul(corr, h, out=ws.tmp), 2.0 * hyper.lambda3 / m, out=ws.tmp)
-    g += (hyper.lambda4 / m) * rowsums[:, None]
-    return j, g
+
+    def pull():
+        g = ws.back[-1]  # h - b
+        g *= hyper.lambda2 / m
+        g += np.multiply(np.matmul(corr, h, out=ws.tmp), 2.0 * hyper.lambda3 / m, out=ws.tmp)
+        g += (hyper.lambda4 / m) * rowsums[:, None]
+        return g
+    return j, pull
 
 
 def _weight_decay(params, hyper):
@@ -105,8 +110,9 @@ def _backprop(params, trace, delta, top, lambda1, ws):
 
 
 def value_and_grad(params, x, b, hyper, ws=None):
-    """Objective and its flat gradient (laid out as network.split_flat, a new array) in one forward
-    pass in the Workspace ws (a new one if None).  Nothing is validated: loss() and grad() are the
+    """Objective from one forward pass in the Workspace ws (a new one if None), and a callable that
+    finishes the backward pass in ws into a new flat gradient (laid out as network.split_flat): call
+    it at most once, before the next evaluation.  Nothing is validated: loss() and grad() are the
     checked entry points."""
     m = hyper.n_samples
     n = params.n_layers
@@ -118,19 +124,20 @@ def value_and_grad(params, x, b, hyper, ws=None):
     resid = np.subtract(x, np.matmul(w_dec, b, out=ws.resid), out=ws.resid)
     resid -= params.biases[-1][:, None]
     j_code, pull = _code_layer_terms(h, b, h @ h.T, h.sum(axis=1), hyper, ws)
-
-    # pull at the code layer (layer n-1), through its activation derivative
-    delta = through_activation(params.activations[n - 3], pull, h, ws.deriv[-1])
-    g, d_w, d_c = _backprop(params, trace, delta, n - 3, hyper.lambda1, ws)
-    np.matmul(resid, b.T, out=d_w[-1])
-    d_w[-1] *= -1.0 / m
-    d_w[-1] += hyper.lambda1 * w_dec
-    np.sum(resid, axis=1, out=d_c[-1])
-    d_c[-1] *= -1.0 / m
+    resid_b, resid_sum = resid @ b.T, resid.sum(axis=1)  # the decoder's gradient, before resid is squared
     j = frobenius_sq(resid, out=resid) / (2.0 * m)  # squares resid in place: its last use
     j += _weight_decay(params, hyper)
     j += j_code
-    return j, g
+
+    def gradient():
+        # pull at the code layer (layer n-1), through its activation derivative
+        delta = through_activation(params.activations[n - 3], pull(), h, ws.deriv[-1])
+        g, d_w, d_c = _backprop(params, trace, delta, n - 3, hyper.lambda1, ws)
+        np.multiply(resid_b, -1.0 / m, out=d_w[-1])
+        d_w[-1] += hyper.lambda1 * w_dec
+        np.multiply(resid_sum, -1.0 / m, out=d_c[-1])
+        return g
+    return j, gradient
 
 
 def loss(params, x, b, hyper):
@@ -143,7 +150,7 @@ def loss(params, x, b, hyper):
 
 def grad(params, x, b, hyper):
     """Gradient of loss() with respect to every weight and bias block."""
-    g = value_and_grad(params, *_check_objective_inputs(params, x, b, hyper, UNSUPERVISED), hyper)[1]
+    g = value_and_grad(params, *_check_objective_inputs(params, x, b, hyper, UNSUPERVISED), hyper)[1]()
     return GradientSet(*split_flat(g, params.layer_sizes))
 
 

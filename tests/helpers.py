@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (scalar loops, exhaustive enumeration,
 finite differences) and shares no code with the library internals beyond the
-public parameter containers.
+public parameter containers.  The exceptions: the eager line search shares
+minimize's two-loop recursion and constants, so that the two agree bit for bit,
+and objective_instance builds the trainer's own objective as a fixture.
 """
 
 import math
@@ -11,8 +13,13 @@ import tracemalloc
 
 import numpy as np
 
+import hashlearn.supervised as sup
+import hashlearn.unsupervised as unsup
+from hashlearn import lbfgs
 from hashlearn.evaluation import BinaryCodes, EvalReport
-from hashlearn.network import LINEAR, SIGMOID, NetworkParams, code_layer, forward, sgn
+from hashlearn.initialization import init_network
+from hashlearn.network import LINEAR, SIGMOID, UNSUPERVISED, NetworkParams, Workspace, code_layer, forward, sgn
+from hashlearn.trainer import SUP_LAMBDAS, UNSUP_LAMBDAS, _flatten, _make_objective
 
 
 def random_params(sizes, acts, mode, rng, scale=0.5):
@@ -401,3 +408,113 @@ def write_xvecs(path, x):
     """A (D, n) float32 or uint8 array as fvecs / bvecs records, one per column; returns str(path)."""
     path.write_bytes(b"".join(struct.pack("<i", x.shape[0]) + x[:, j].tobytes() for j in range(x.shape[1])))
     return str(path)
+
+
+# The eager line search and the sorting ground-truth check that lbfgs.minimize
+# and evaluation.validate_ground_truth replaced.
+
+def eager_minimize(fun, x0, max_iters):
+    """lbfgs.minimize with the gradient taken at every trial point and tested
+    together with the value.  Same objective protocol, constants and two-loop
+    recursion, so results must match bit for bit."""
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0, got %d" % max_iters)
+    x = np.array(x0, dtype=np.float64)
+    fx, gradient = fun(x)
+    fx = float(fx)
+    g = np.asarray(gradient(), dtype=np.float64)
+    if not np.isfinite(fx) or not np.all(np.isfinite(g)):
+        raise ValueError("objective returned non-finite value or gradient at the starting point")
+    if g.shape != x.shape:
+        raise ValueError("gradient shape %s does not match parameter shape %s" % (g.shape, x.shape))
+
+    history = [fx]
+    best_f, best_x = fx, x.copy()
+    s_list, y_list, rho_list = [], [], []
+    gamma = 1.0
+    status = lbfgs.MAX_ITERS
+
+    for _ in range(max_iters):
+        if float(np.linalg.norm(g)) < lbfgs._GRAD_TOL:
+            status = lbfgs.GRADIENT_CONVERGED
+            break
+        d = -lbfgs._two_loop(g, s_list, y_list, rho_list, gamma)
+        slope = float(np.dot(g, d))
+        if slope >= 0.0:
+            s_list, y_list, rho_list = [], [], []
+            d = -g
+            slope = -float(np.dot(g, g))
+            if slope == 0.0:
+                status = lbfgs.GRADIENT_CONVERGED
+                break
+        t = 1.0
+        accepted = False
+        for _bt in range(lbfgs._MAX_BACKTRACKS):
+            x_new = x + t * d
+            f_new, gradient = fun(x_new)
+            f_new = float(f_new)
+            g_new = np.asarray(gradient(), dtype=np.float64)
+            if np.isfinite(f_new) and np.all(np.isfinite(g_new)) \
+                    and f_new <= fx + lbfgs._SUFFICIENT_DECREASE * t * slope:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            status = lbfgs.LINE_SEARCH_FAILED
+            break
+        s = x_new - x
+        y = g_new - g
+        sy = float(np.dot(s, y))
+        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            s_list.append(s)
+            y_list.append(y)
+            rho_list.append(1.0 / sy)
+            if len(s_list) > lbfgs._MEMORY:
+                s_list.pop(0)
+                y_list.pop(0)
+                rho_list.pop(0)
+            gamma = sy / float(np.dot(y, y))
+        else:
+            s_list, y_list, rho_list = [], [], []
+        x, fx, g = x_new, f_new, g_new
+        history.append(fx)
+        if fx < best_f:
+            best_f, best_x = fx, x.copy()
+
+    return lbfgs.LbfgsResult(best_x, history, status)
+
+
+def unique_validate_ground_truth(gt, db_size, n_queries):
+    """validate_ground_truth with a sort (np.unique) per query to find duplicates."""
+    if len(gt) != n_queries:
+        raise ValueError("ground truth covers %d queries, expected %d" % (len(gt), n_queries))
+    for qi, idx in enumerate(gt):
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError("ground truth for query %d holds %s, not integer indices" % (qi, idx.dtype))
+        if idx.size and (idx.min() < 0 or idx.max() >= db_size):
+            raise ValueError("ground truth for query %d has indices outside [0, %d)" % (qi, db_size))
+        if np.unique(idx).size != idx.size:
+            raise ValueError("ground truth for query %d has duplicate indices" % qi)
+
+
+def objective_instance(mode, seed=0):
+    """The train_unsup benchmark's shape (D=64, m=1000, hidden 48/32, 16 bits), and a
+    supervised one at m=500 over 10 classes: an L-BFGS objective, its start vector, the
+    network and data it runs on, and its Workspace."""
+    rng = np.random.default_rng(seed)
+    d, code_len = 64, 16
+    m = 1000 if mode == UNSUPERVISED else 500
+    x = rng.standard_normal((d, m))
+    sizes = [d, 48, 32, code_len] + ([d] if mode == UNSUPERVISED else [])
+    params = init_network(x, sizes, mode)
+    b = np.where(rng.standard_normal((code_len, m)) >= 0, 1.0, -1.0)
+    ws = Workspace(sizes, mode, m)
+    if mode == UNSUPERVISED:
+        hyper = unsup.UnsupHyper(*UNSUP_LAMBDAS, code_len=code_len, n_samples=m)
+        fun = _make_objective(params, lambda q: unsup.value_and_grad(q, x, b, hyper, ws))
+    else:
+        hyper = sup.SupHyper(*SUP_LAMBDAS, code_len=code_len, n_samples=m)
+        y = np.eye(10)[rng.integers(0, 10, m)]
+        fun = _make_objective(params, lambda q: sup.value_and_grad(q, x, b, y, hyper, ws))
+    return fun, _flatten(params), params, x, ws

@@ -6,45 +6,36 @@ encoder against one full-width pass and of what must stay unshared."""
 import numpy as np
 import pytest
 
-import hashlearn.supervised as sup
-import hashlearn.unsupervised as unsup
-from hashlearn.initialization import init_network
-from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, Workspace, code_layer, forward
-from hashlearn.trainer import _ENCODE_BLOCK, SUP_LAMBDAS, UNSUP_LAMBDAS, _flatten, _make_objective, encode
+from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, code_layer, forward
+from hashlearn.trainer import _ENCODE_BLOCK, encode
 
-from helpers import random_params, traced_peak, unblocked_encode
+from helpers import objective_instance, random_params, traced_peak, unblocked_encode
 
 B = _ENCODE_BLOCK
 
 
-def objective_instance(mode, seed=0):
-    """The train_unsup benchmark's shape (D=64, m=1000, hidden 48/32, 16 bits), and a
-    supervised one at m=500 over 10 classes: an L-BFGS objective, its start vector, the
-    network and data it runs on, and its Workspace."""
-    rng = np.random.default_rng(seed)
-    d, code_len = 64, 16
-    m = 1000 if mode == UNSUPERVISED else 500
-    x = rng.standard_normal((d, m))
-    sizes = [d, 48, 32, code_len] + ([d] if mode == UNSUPERVISED else [])
-    params = init_network(x, sizes, mode)
-    b = np.where(rng.standard_normal((code_len, m)) >= 0, 1.0, -1.0)
-    ws = Workspace(sizes, mode, m)
-    if mode == UNSUPERVISED:
-        hyper = unsup.UnsupHyper(*UNSUP_LAMBDAS, code_len=code_len, n_samples=m)
-        fun = _make_objective(params, lambda q: unsup.value_and_grad(q, x, b, hyper, ws))
-    else:
-        hyper = sup.SupHyper(*SUP_LAMBDAS, code_len=code_len, n_samples=m)
-        y = np.eye(10)[rng.integers(0, 10, m)]
-        fun = _make_objective(params, lambda q: sup.value_and_grad(q, x, b, y, hyper, ws))
-    return fun, _flatten(params), params, x, ws
+def value_and_gradient(fun, vec):
+    """An L-BFGS objective's value and its gradient at vec."""
+    j, gradient = fun(vec)
+    return j, gradient()
 
 
 @pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
 def test_warm_objective_evaluation_allocates_less_than_one_input_array(mode):
     fun, vec, _, x, _ = objective_instance(mode)
-    fun(vec)
-    (j, g), peak = traced_peak(lambda: fun(vec))
+    value_and_gradient(fun, vec)
+    (j, g), peak = traced_peak(lambda: value_and_gradient(fun, vec))
     assert np.isfinite(j) and g.shape == vec.shape
+    assert peak < x.nbytes
+
+
+@pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
+def test_warm_value_only_evaluation_allocates_less_than_one_input_array(mode):
+    # a trial point the line search rejects runs only the value half
+    fun, vec, _, x, _ = objective_instance(mode)
+    value_and_gradient(fun, vec)
+    (j, _), peak = traced_peak(lambda: fun(vec * 1.01))
+    assert np.isfinite(j)
     assert peak < x.nbytes
 
 
@@ -104,9 +95,9 @@ def test_non_finite_activation_in_the_last_block_is_reported():
 def test_consecutive_evaluations_return_distinct_gradients(mode):
     # L-BFGS keeps g and g_new from consecutive evaluations
     fun, vec, _, _, _ = objective_instance(mode)
-    g1 = fun(vec)[1]
+    g1 = value_and_gradient(fun, vec)[1]
     kept = g1.copy()
-    g2 = fun(vec * 0.99)[1]
+    g2 = value_and_gradient(fun, vec * 0.99)[1]
     assert not np.shares_memory(g1, g2)
     assert np.array_equal(g1, kept)
     assert not np.array_equal(g1, g2)
@@ -118,7 +109,7 @@ def test_forward_trace_is_not_changed_by_a_later_evaluation(mode):
     fun, vec, params, x, ws = objective_instance(mode)
     trace = forward(params, x, upto=code_layer(mode, params.n_layers))
     kept = [h.copy() for h in trace.H]
-    fun(vec * 1.01)
+    value_and_gradient(fun, vec * 1.01)
     for h, h0 in zip(trace.H, kept):
         assert np.array_equal(h, h0)
         for buf in ws.acts + ws.back + ws.deriv + [ws.tmp, ws.sq]:

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hashlearn.evaluation import (BinaryCodes, euclidean_knn_gt, evaluate, label_gt, mean_average_precision,
                                   precision_at_radius, validate_ground_truth)
 
-from helpers import brute_force_ap, brute_force_precision, hamming_distance, naive_hamming, unpack_codes
+from helpers import (brute_force_ap, brute_force_precision, hamming_distance, naive_hamming, unique_validate_ground_truth,
+                     unpack_codes)
 
 
 def codes_from(columns):
@@ -173,6 +174,49 @@ def test_validate_ground_truth_errors():
     with pytest.raises(ValueError, match="query 0 holds bool"):
         validate_ground_truth([np.array([True, False, True])], db_size=3, n_queries=1)
     validate_ground_truth([[], np.array([], dtype=np.uint32)], db_size=3, n_queries=2)
+
+
+def validation_outcome(validate, gt, db_size, n_queries):
+    try:
+        validate(gt, db_size, n_queries)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+GT_CASES = [
+    ([[0, 5, 9], [], [3]], 10, 3),
+    ([np.r_[7, np.arange(100, 900), 7]], 1000, 1),                 # duplicates far apart
+    ([np.arange(1000), np.arange(999, -1, -1)], 1000, 2),           # the buffer holds the last list
+    ([[5, 2], [2, 5], [4, 4]], 6, 3),
+    ([[], np.array([], dtype=np.uint32), np.array([], dtype=bool)], 3, 3),
+    ([np.array([3, 1, 3], dtype=np.uint8)], 5, 1),
+    ([np.array([0, 4], dtype=np.uint64), np.array([4, 0], dtype=np.uint16)], 5, 2),
+    ([[0, 10]], 10, 1),
+    ([[1], [-1, 2]], 10, 2),
+    ([[1, 1], [99]], 10, 2),                                        # the duplicate is reported first
+    ([np.array([0.0, 1.0])], 3, 1),
+    ([np.array([True])], 3, 1),
+    ([[0]], 3, 2),
+    ([np.array([[0, 1], [2, 1]])], 3, 1),
+    ([np.array([[0, 1], [2, 3]])], 4, 1),
+    ([[0, 1]], 0, 1),
+]
+
+
+@pytest.mark.parametrize("gt, db_size, n_queries", GT_CASES)
+def test_validate_ground_truth_matches_sorting_check(gt, db_size, n_queries):
+    assert validation_outcome(validate_ground_truth, gt, db_size, n_queries) == \
+        validation_outcome(unique_validate_ground_truth, gt, db_size, n_queries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-1, 12), max_size=12), min_size=1, max_size=4), st.integers(0, 12),
+       st.sampled_from(["int64", "int32", "uint16", "float64"]))
+def test_validate_ground_truth_matches_sorting_check_on_random_lists(lists, db_size, dtype):
+    gt = [np.array([v for v in idx if v >= 0 or dtype != "uint16"], dtype=dtype) for idx in lists]
+    assert validation_outcome(validate_ground_truth, gt, db_size, len(gt)) == \
+        validation_outcome(unique_validate_ground_truth, gt, db_size, len(gt))
 
 
 def test_map_perfect_ranking():

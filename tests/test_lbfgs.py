@@ -3,20 +3,22 @@ import pytest
 
 from hashlearn import lbfgs
 from hashlearn.lbfgs import GRADIENT_CONVERGED, LINE_SEARCH_FAILED, LbfgsResult, _two_loop, minimize
+from hashlearn.network import SUPERVISED, UNSUPERVISED
+
+from helpers import eager_minimize, objective_instance
 
 
 def quadratic_bowl(center):
     def fun(x):
         d = x - center
-        return float(d @ d), 2.0 * d
+        return float(d @ d), lambda: 2.0 * d
     return fun
 
 
 def rosenbrock(x):
     a, b = x
     f = (1 - a) ** 2 + 100.0 * (b - a * a) ** 2
-    g = np.array([-2 * (1 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
-    return f, g
+    return f, lambda: np.array([-2 * (1 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
 
 
 def seeded_quadratic(seed, dim):
@@ -26,7 +28,7 @@ def seeded_quadratic(seed, dim):
     c = rng.standard_normal(dim)
 
     def fun(x):
-        return float(0.5 * x @ a @ x - c @ x), a @ x - c
+        return float(0.5 * x @ a @ x - c @ x), lambda: a @ x - c
     return fun, rng.standard_normal(dim)
 
 
@@ -80,7 +82,7 @@ def test_gradient_converged_status():
 def test_line_search_failure_returns_best_seen():
     def lying(x):
         # claims a descent direction exists but the value never improves
-        return 1.0, np.array([1.0])
+        return 1.0, lambda: np.array([1.0])
     res = minimize(lying, np.array([0.5]), 10)
     assert res.status == LINE_SEARCH_FAILED
     assert res.x[0] == 0.5
@@ -89,7 +91,7 @@ def test_line_search_failure_returns_best_seen():
 
 def test_nonfinite_start_raises():
     def bad(x):
-        return np.nan, np.zeros(1)
+        return np.nan, lambda: np.zeros(1)
     with pytest.raises(ValueError):
         minimize(bad, np.array([1.0]), 100)
 
@@ -102,8 +104,8 @@ def test_nonfinite_trial_step_is_backtracked():
         v = float(x[0])
         if v < -1.0:
             calls["inf"] += 1
-            return np.inf, np.zeros(1)
-        return (v + 0.9) ** 2, np.array([2 * (v + 0.9)])
+            return np.inf, lambda: np.zeros(1)
+        return (v + 0.9) ** 2, lambda: np.array([2 * (v + 0.9)])
     res = minimize(fun, np.array([3.0]), 50)
     assert calls["inf"] > 0
     assert res.history[-1] < 1e-10
@@ -114,3 +116,64 @@ def test_negative_max_iters_rejected():
     with pytest.raises(ValueError, match="max_iters"):
         minimize(quadratic_bowl(np.zeros(1)), np.array([1.0]), -1)
     assert minimize(quadratic_bowl(np.zeros(1)), np.array([1.0]), 0).history == [1.0]
+
+
+def counted(fun):
+    """fun, logging [value, gradient calls] for every point it is called at."""
+    log = []
+
+    def logged(x):
+        j, gradient = fun(x)
+        entry = [float(j), 0]
+        log.append(entry)
+
+        def logged_gradient():
+            entry[1] += 1
+            return gradient()
+        return j, logged_gradient
+    return logged, log
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.x, want.x)
+    assert got.history == want.history
+    assert got.status == want.status
+
+
+def assert_gradients_only_at_history_points(log, res):
+    # once at the start and at each accepted point, never at a rejected one
+    assert [j for j, calls in log if calls] == res.history
+    assert all(calls <= 1 for _, calls in log)
+    assert sum(calls for _, calls in log) == len(res.history) < len(log)
+
+
+@pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_value_first_line_search_matches_eager_one_on_training_objectives(mode, seed):
+    # long enough for the line search to reject trial points at every seed
+    iters = 80 if mode == UNSUPERVISED else 30
+    fun, vec, _, _, _ = objective_instance(mode, seed)
+    counted_fun, log = counted(fun)
+    res = minimize(counted_fun, vec, iters)
+    assert_same_result(res, eager_minimize(fun, vec, iters))
+    assert_gradients_only_at_history_points(log, res)
+
+
+def test_value_first_line_search_matches_eager_one_on_rosenbrock():
+    counted_fun, log = counted(rosenbrock)
+    res = minimize(counted_fun, np.array([-1.2, 1.0]), 500)
+    assert_same_result(res, eager_minimize(rosenbrock, np.array([-1.2, 1.0]), 500))
+    assert_gradients_only_at_history_points(log, res)
+
+
+def test_finite_value_with_nonfinite_gradient_is_rejected():
+    # f = x^2 / 2 from x = 1: the full step lands on 0, whose value passes the Armijo
+    # test but whose gradient is NaN; the search must halve the step to 0.5
+    def fun(x):
+        v = float(x[0])
+        return v * v / 2.0, lambda: np.array([np.nan if abs(v) < 0.25 else v])
+    counted_fun, log = counted(fun)
+    res = minimize(counted_fun, np.array([1.0]), 1)
+    assert res.history == [0.5, 0.125] and res.x[0] == 0.5
+    assert log == [[0.5, 1], [0.0, 1], [0.125, 1]]
+    assert_same_result(res, eager_minimize(fun, np.array([1.0]), 1))

@@ -1,5 +1,6 @@
-"""Smoke tests of the experiment scripts at small sizes: each runs end to end on
-the stock layer widths and prints its retrieval table."""
+"""Smoke tests of the scripts at small sizes: each experiment runs end to end on
+the stock layer widths and prints its retrieval table, and the bit-identity
+script prints the same digest twice."""
 
 import importlib.util
 import struct
@@ -42,3 +43,16 @@ def test_run_idx_images_on_8x8_images(tmp_path, capsys):
     assert load_script("run_idx_images").main(argv) == 0
     out = capsys.readouterr().out
     assert "64-dimensional" in out and out.count("mAP") == 2
+
+
+def test_bit_identity_repeats_its_digest(capsys):
+    # the digest depends on the BLAS, so only its form and its repetition are checked
+    script = load_script("bit_identity")
+    outputs = []
+    for argv in ([], ["--parts"]):
+        assert script.main(argv) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    plain, parts = outputs
+    assert len(plain) == 1 and len(plain[0]) == 64 and int(plain[0], 16) >= 0
+    assert len(parts) == 14 and parts[-1] == plain[0]
+    assert len({line.split()[0] for line in parts}) == 14
