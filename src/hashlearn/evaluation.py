@@ -14,6 +14,8 @@ import numpy as np
 from hashlearn.network import check_finite
 
 _F32 = np.finfo(np.float32)
+_BLOCK = 16384  # database codes per XOR block in _hamming_scan: a 128 KB buffer
+_CUT_SHARE = 4  # _ranked_prefix sorts only the codes inside the cut when they are at most n / 4
 
 
 def _bytes_per_code(code_len):
@@ -62,22 +64,45 @@ class BinaryCodes:
 
 
 def _words(codes):
-    """The packed codes as (count, words) uint64, zero-padded to whole 64-bit words."""
+    """The packed codes as (count, words) uint64, zero-padded to whole 64-bit words.
+
+    Codes that already fill whole words are viewed in place, not copied.
+    """
+    if codes.code_len % 64 == 0 and codes.packed.flags.c_contiguous:
+        words = codes.packed.view(np.uint64)
+        if words.flags.aligned:
+            return words
     padded = np.zeros((codes.count, -(-codes.code_len // 64) * 8), dtype=np.uint8)
     padded[:, :codes.packed.shape[1]] = codes.packed
     return padded.view(np.uint64)
 
 
-def _distances(words, q, code_len):
-    """Hamming distances from the word-form code q to each row of words.
+def _hamming_scan(words, code_len):
+    """A function of a word-form query q that returns the Hamming distances from q to each
+    row of words, in one array that every call overwrites, and their histogram over 0..L.
 
-    Added word by word in the smallest unsigned type that holds code_len, so
-    for L <= 255 the stable argsort over the result is numpy's radix sort.
+    The distances have the smallest unsigned type that holds code_len, so for L <= 255
+    the stable argsort over them is numpy's radix sort.  The rows go in blocks of
+    _BLOCK, so the XORed words, and the intp copy np.bincount makes, take cache-sized
+    buffers rather than ones the size of the database.
     """
-    d = np.bitwise_count(words[:, 0] ^ q[0]).astype(np.min_scalar_type(code_len), copy=False)
-    for j in range(1, words.shape[1]):
-        d += np.bitwise_count(words[:, j] ^ q[j])
-    return d
+    n, n_words = words.shape
+    out = np.empty(n, dtype=np.min_scalar_type(code_len))
+    step = max(1, min(n, _BLOCK))
+    xor, count = np.empty(step, dtype=np.uint64), np.empty(step, dtype=np.uint8)
+    starts = range(0, n, step) or [0]  # one empty block if n == 0: the histogram is still made
+    blocks = [(words[start:start + step].T, out[start:start + step]) for start in starts]
+    blocks = [(cols, d, xor[:d.size], count[:d.size]) for cols, d in blocks]
+
+    def distances(q):
+        hist = 0
+        for cols, d, x, c in blocks:
+            np.bitwise_count(np.bitwise_xor(cols[0], q[0], out=x), out=d)
+            for j in range(1, n_words):
+                d += np.bitwise_count(np.bitwise_xor(cols[j], q[j], out=x), out=c)
+            hist = hist + np.bincount(d, minlength=code_len + 1)
+        return out, hist
+    return distances
 
 
 def _scan_knn(database, q, k):
@@ -201,7 +226,9 @@ def label_gt(db_labels, query_labels):
 def validate_ground_truth(gt, db_size, n_queries):
     if len(gt) != n_queries:
         raise ValueError("ground truth covers %d queries, expected %d" % (len(gt), n_queries))
-    last = np.empty(db_size, dtype=np.intp)  # a position of each index in the current list
+    # a position of each index in the current list; the positions fit unless an index
+    # repeats, and a position that wraps around never reads back as itself
+    last = np.empty(db_size, dtype=np.min_scalar_type(db_size))
     for qi, idx in enumerate(gt):
         idx = np.asarray(idx).ravel()
         if not idx.size:
@@ -241,14 +268,33 @@ def _whole_radii(radii):
     return out
 
 
+def _ranked_prefix(d, cut, n_cut, stop, inside):
+    """The first stop codes of the stable ranking by the distances d (ties toward the
+    lower index), given that n_cut >= stop of them are at distance <= cut.
+
+    Only those n_cut codes can rank among the first stop, and picking them out keeps
+    their database order, so sorting them alone gives the same ranking.  That is
+    done when they are at most 1 / _CUT_SHARE of d; otherwise all of d is sorted.
+    inside is a bool scratch array the size of d.
+    """
+    if n_cut * _CUT_SHARE > d.size:
+        return np.argsort(d, kind="stable")[:stop]
+    cand = np.flatnonzero(np.less_equal(d, cut, out=inside))
+    return cand[np.argsort(d[cand], kind="stable")[:stop]]
+
+
 def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
     """Validate once, then one Hamming pass per query; radii come from _whole_radii.
 
-    Each query's distances are computed once, on 64-bit words.  The AP of the
-    stable ranking (ties toward the lower index, capped at top_k) comes from
-    the ranks of the relevant items; the precision of the ball of each radius
-    from cumulative histograms of all and of the relevant distances.  Returns
-    (per_query_ap, [per_query_precision for each radius]); the AP list is
+    Each query's distances are computed once, on 64-bit words, with their
+    histogram.  The precision of the ball of each radius comes from the cumulative
+    histograms of all and of the relevant distances.  The AP of the stable ranking
+    (ties toward the lower index, capped at top_k) comes from the ranks of the
+    relevant items.  Only codes at or inside the cut can rank ahead of a relevant
+    one; the cut is the farthest relevant distance, lowered to the top_k-th code's
+    distance if top_k is given.  When those codes are at most 1 / _CUT_SHARE of the
+    database, only they are sorted (_ranked_prefix), else the whole database is.
+    Returns (per_query_ap, [per_query_precision for each radius]); the AP list is
     empty unless with_ap.
     """
     db_codes.validate()
@@ -259,20 +305,31 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
         raise ValueError("top_k must be >= 1 when given")
     validate_ground_truth(gt, db_codes.count, query_codes.count)
     aps, precisions = [], [[] for _ in radii]
-    code_len = db_codes.code_len
-    db_words = _words(db_codes)
+    code_len, n = db_codes.code_len, db_codes.count
+    distances = _hamming_scan(_words(db_codes), code_len)
+    # buffers every query reuses; rel marks the current query's relevant codes
+    inside = np.empty(n, dtype=bool)
+    rel = np.zeros(n, dtype=bool)
     for q, gt_q in zip(_words(query_codes), gt):
-        d = _distances(db_words, q, code_len)
+        d, hist = distances(q)
         gt_q = np.asarray(gt_q, dtype=np.int64)
-        if with_ap:
-            rel = np.zeros(db_codes.count, dtype=bool)
+        d_rel = d[gt_q]
+        n_within = np.add.accumulate(hist)
+        if with_ap and gt_q.size:
+            cut = int(np.maximum.reduce(d_rel))
+            if top_k is not None:
+                cut = min(cut, int(np.searchsorted(n_within, top_k)))
+            n_cut = int(n_within[cut])
+            order = _ranked_prefix(d, cut, n_cut, n_cut if top_k is None else min(n_cut, top_k), inside)
             rel[gt_q] = True
             # the t-th relevant item in the ranking has t hits
-            ranks = np.flatnonzero(rel[np.argsort(d, kind="stable")[:top_k]]) + 1
-            aps.append(float(np.sum(np.arange(1, ranks.size + 1) / ranks)) / gt_q.size if gt_q.size else 0.0)
+            ranks = np.flatnonzero(rel[order]) + 1
+            rel[gt_q] = False
+            aps.append(float(np.add.reduce(np.arange(1, ranks.size + 1) / ranks)) / gt_q.size)
+        elif with_ap:
+            aps.append(0.0)
         if radii:
-            n_within = np.cumsum(np.bincount(d, minlength=code_len + 1))
-            rel_within = np.cumsum(np.bincount(d[gt_q], minlength=code_len + 1))
+            rel_within = np.add.accumulate(np.bincount(d_rel, minlength=code_len + 1))
             for per_r, r in zip(precisions, radii):
                 r = min(r, code_len)
                 n_retrieved = int(n_within[r])

@@ -4,9 +4,11 @@ import numpy as np
 
 
 def frobenius_sq(a, out=None):
-    """Sum of squared entries of an array; the squares go to out if given."""
-    a = np.asarray(a, dtype=np.float64)
-    return float(np.sum(np.multiply(a, a, out=out)))
+    """Sum of squared entries of a float64 array; the squares go to out if given.
+
+    np.add.reduce is the reduction np.sum runs, without its Python wrapper.
+    """
+    return float(np.add.reduce(np.multiply(a, a, out=out), axis=None))
 
 
 def covariance(x):

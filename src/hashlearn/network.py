@@ -137,7 +137,9 @@ class Workspace:
     and deriv follow ForwardTrace.H[1:] to the code layer: outputs, back-propagated
     gradients (back[-1] is the code-layer pull) and derivative scratch (one shared buffer,
     as one derivative is live at a time); tmp and sq are code-layer scratch, resid the
-    unsupervised residual.  A view into it is valid until the next evaluation."""
+    unsupervised residual, and weight_sq one shared buffer shaped as each weight block
+    for the squares of the weight decay.  A view into it is valid until the next
+    evaluation."""
 
     def __init__(self, layer_sizes, mode, m):
         widths = layer_sizes[1:code_layer(mode, len(layer_sizes))]
@@ -147,6 +149,9 @@ class Workspace:
         self.deriv = [shared[:w * m].reshape(w, m) for w in widths]
         self.tmp, self.sq = np.empty((2, widths[-1], m))
         self.resid = np.empty((layer_sizes[-1], m)) if mode == UNSUPERVISED else None
+        shapes = list(zip(layer_sizes[1:], layer_sizes))
+        squares = np.empty(max(rows * cols for rows, cols in shapes))
+        self.weight_sq = [squares[:rows * cols].reshape(rows, cols) for rows, cols in shapes]
 
 
 def _forward(params, x, upto, out=None):

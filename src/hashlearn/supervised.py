@@ -90,7 +90,7 @@ def value_and_grad(params, x, b, y, hyper, ws=None):
     fit_sq = frobenius_sq(hht) - (2.0 / hyper.code_len) * (2.0 * frobenius_sq(hy) - h1 @ h1) + m * m
     j_code, pull = _code_layer_terms(h, b, gram, h1, hyper, ws)
     j = fit_sq / (2.0 * m)
-    j += _weight_decay(params, hyper)
+    j += _weight_decay(params, hyper, ws)
     j += j_code
 
     def gradient():

@@ -87,8 +87,9 @@ def _code_layer_terms(h, b, gram, rowsums, hyper, ws):
     return j, pull
 
 
-def _weight_decay(params, hyper):
-    return (hyper.lambda1 / 2.0) * sum(frobenius_sq(w) for w in params.weights)
+def _weight_decay(params, hyper, ws):
+    """(lambda1 / 2) times the squared norms of the weight blocks, squared into ws.weight_sq."""
+    return (hyper.lambda1 / 2.0) * sum(frobenius_sq(w, out=sq) for w, sq in zip(params.weights, ws.weight_sq))
 
 
 def _backprop(params, trace, delta, top, lambda1, ws):
@@ -126,7 +127,7 @@ def value_and_grad(params, x, b, hyper, ws=None):
     j_code, pull = _code_layer_terms(h, b, h @ h.T, h.sum(axis=1), hyper, ws)
     resid_b, resid_sum = resid @ b.T, resid.sum(axis=1)  # the decoder's gradient, before resid is squared
     j = frobenius_sq(resid, out=resid) / (2.0 * m)  # squares resid in place: its last use
-    j += _weight_decay(params, hyper)
+    j += _weight_decay(params, hyper, ws)
     j += j_code
 
     def gradient():

@@ -1,11 +1,13 @@
 """Memory behaviour of the hot paths: an L-BFGS objective evaluation writes its
-(width, m) intermediates into one reused Workspace, and encode runs in fixed-size
-column blocks.  Checked with tracemalloc, plus differential tests of the blocked
+(width, m) intermediates into one reused Workspace, encode runs in fixed-size
+column blocks, and evaluate sorts only the codes that can rank ahead of a
+relevant one.  Checked with tracemalloc, plus differential tests of the blocked
 encoder against one full-width pass and of what must stay unshared."""
 
 import numpy as np
 import pytest
 
+from hashlearn.evaluation import BinaryCodes, evaluate
 from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, code_layer, forward
 from hashlearn.trainer import _ENCODE_BLOCK, encode
 
@@ -114,3 +116,21 @@ def test_forward_trace_is_not_changed_by_a_later_evaluation(mode):
         assert np.array_equal(h, h0)
         for buf in ws.acts + ws.back + ws.deriv + [ws.tmp, ws.sq]:
             assert not np.shares_memory(h, buf)
+
+
+def test_evaluate_peak_stays_below_one_int64_per_database_code():
+    # 100 clusters of 64-bit codes, 1000 each, and each query's 50 nearest codes as ground
+    # truth: the farthest relevant code has about 1% of the database at or inside its distance
+    rng = np.random.default_rng(0)
+    n, code_len = 100_000, 64
+    centres = rng.random((100, code_len)) < 0.5
+
+    def draw(count):
+        bits = centres[rng.integers(0, 100, count)] ^ (rng.random((count, code_len)) < 0.05)
+        return BinaryCodes(code_len, count, np.packbits(bits, axis=1, bitorder="little"))
+    db, queries = draw(n), draw(20)
+    db_words = db.packed.view(np.uint64)[:, 0]
+    gt = [np.argsort(np.bitwise_count(db_words ^ q), kind="stable")[:50] for q in queries.packed.view(np.uint64)[:, 0]]
+    report, peak = traced_peak(lambda: evaluate(db, queries, gt))
+    assert report.mean_ap > 0.5
+    assert peak < 8 * n  # a full argsort of the database is 8 n bytes on its own

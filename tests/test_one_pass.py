@@ -1,6 +1,8 @@
 """Differential tests: the one-pass evaluation against the popcount-table
 distances and the separate mAP / precision@r loops it replaced."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,12 @@ from helpers import (POPCOUNT, hamming_distance, separate_evaluate, separate_mea
                      separate_precision_at_radius, table_distances_to_all)
 
 
-def random_case(seed, code_len, n_db, n_q):
+def random_case(seed, code_len, n_db, n_q, nearest=False):
     """Codes drawn from a small pool with a few flipped bits, so distances tie
-    often, and ground truth that is empty for some queries."""
+    often, and ground truth that is empty for some queries.  The relevant sets
+    are drawn at random from the database, or if nearest from each query's
+    nearest codes: a random part of the first ones in the stable ranking, which
+    often stops inside a run of equal distances."""
     rng = np.random.default_rng(seed)
     pool = np.where(rng.random((code_len, int(rng.integers(1, 5)))) < 0.5, 1.0, -1.0)
 
@@ -24,34 +29,67 @@ def random_case(seed, code_len, n_db, n_q):
         return b * np.where(rng.random(b.shape) < 0.1, -1.0, 1.0)
 
     db, q = BinaryCodes.from_sign_matrix(draw(n_db)), BinaryCodes.from_sign_matrix(draw(n_q))
-    gt = [rng.choice(n_db, size=int(rng.integers(0, n_db + 1)), replace=False) for _ in range(n_q)]
+    if not nearest:
+        gt = [rng.choice(n_db, size=int(rng.integers(0, n_db + 1)), replace=False) for _ in range(n_q)]
+        return db, q, gt
+    gt = []
+    for row in q.packed:
+        order = np.argsort(table_distances_to_all(row, db), kind="stable")[:int(rng.integers(0, n_db // 4 + 2))]
+        gt.append(rng.permutation(order)[:int(rng.integers(0, order.size + 1))])
     return db, q, gt
 
 
-@given(seed=st.integers(0, 2**31 - 1), code_len=st.integers(1, 300), n_db=st.integers(0, 200),
-       n_q=st.integers(0, 5), top_k=st.one_of(st.none(), st.integers(1, 210)),
-       radii=st.lists(st.integers(0, 310), max_size=6))
-@settings(max_examples=300, deadline=None)
-def test_one_pass_bit_identical_to_separate_loops(seed, code_len, n_db, n_q, top_k, radii):
-    db, q, gt = random_case(seed, code_len, n_db, n_q)
-    radii = radii + radii[:2] + [code_len + 3]  # duplicates, unsorted, one beyond L
-    assert evaluate(db, q, gt, radii=radii, top_k=top_k) == separate_evaluate(db, q, gt, radii=radii, top_k=top_k)
-    assert mean_average_precision(db, q, gt, top_k) == separate_mean_average_precision(db, q, gt, top_k)
-    for r in radii:
-        assert precision_at_radius(db, q, gt, r) == separate_precision_at_radius(db, q, gt, r)
+def test_one_pass_bit_identical_to_separate_loops(monkeypatch):
+    paths = collections.Counter()  # which ranking each query's AP came from
+    ranked_prefix = ev._ranked_prefix
+
+    def counted(d, cut, n_cut, stop, inside):
+        paths["full sort" if n_cut * ev._CUT_SHARE > d.size else "candidates"] += 1
+        return ranked_prefix(d, cut, n_cut, stop, inside)
+    monkeypatch.setattr(ev, "_ranked_prefix", counted)
+    cuts = collections.Counter()  # where top_k's distance falls against the farthest relevant one
+
+    # 256 bits is the first length whose distances no longer fit uint8
+    @given(seed=st.integers(0, 2**31 - 1), code_len=st.one_of(st.sampled_from([64, 65, 255, 256]), st.integers(1, 300)),
+           n_db=st.integers(0, 200), n_q=st.integers(0, 5), nearest=st.booleans(),
+           top_k=st.one_of(st.none(), st.integers(1, 210)), radii=st.lists(st.integers(0, 310), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def check(seed, code_len, n_db, n_q, nearest, top_k, radii):
+        db, q, gt = random_case(seed, code_len, n_db, n_q, nearest)
+        radii = radii + radii[:2] + [code_len + 3]  # duplicates, unsorted, one beyond L
+        assert evaluate(db, q, gt, radii=radii, top_k=top_k) == separate_evaluate(db, q, gt, radii=radii, top_k=top_k)
+        assert mean_average_precision(db, q, gt, top_k) == separate_mean_average_precision(db, q, gt, top_k)
+        for r in radii:
+            assert precision_at_radius(db, q, gt, r) == separate_precision_at_radius(db, q, gt, r)
+        for row, gt_q in zip(q.packed, gt):
+            d = table_distances_to_all(row, db).astype(int)
+            if len(gt_q) and top_k is not None and top_k <= n_db:
+                cuts[int(np.sign(np.sort(d)[top_k - 1] - d[gt_q].max()))] += 1
+
+    check()
+    assert paths["candidates"] and paths["full sort"]
+    assert cuts[-1] and cuts[0] and cuts[1]
 
 
 @pytest.mark.parametrize("code_len", [1, 7, 8, 63, 64, 65, 255, 256, 300])
-def test_distances_match_popcount_table(code_len):
+def test_distances_match_popcount_table(code_len, monkeypatch):
     db, q, _ = random_case(code_len, code_len, 30, 3)
     db_words, q_words = ev._words(db), ev._words(q)
     assert db_words.shape == (30, (code_len + 63) // 64) and db_words.dtype == np.uint64
-    for row, q_row in zip(q.packed, q_words):
-        want = table_distances_to_all(row, db)
-        assert np.array_equal(ev._distances(db_words, q_row, code_len), want)
-        assert [hamming_distance(row, other, code_len) for other in db.packed] == want.tolist()
-    # uint8 sums (radix sort) up to 255 bits, wider beyond
-    assert ev._distances(db_words, q_words[0], code_len).dtype == (np.uint8 if code_len <= 255 else np.uint16)
+    # whole words of row-major codes (as encode and load_codes make them) are viewed, not copied
+    row_major = BinaryCodes(code_len, 30, np.ascontiguousarray(db.packed))
+    assert np.shares_memory(ev._words(row_major), row_major.packed) == (code_len % 64 == 0)
+    for block in (ev._BLOCK, 7):  # one block, and several with a short last one
+        monkeypatch.setattr(ev, "_BLOCK", block)
+        distances = ev._hamming_scan(db_words, code_len)
+        for row, q_row in zip(q.packed, q_words):
+            want = table_distances_to_all(row, db)
+            d, hist = distances(q_row)
+            assert np.array_equal(d, want)
+            assert np.array_equal(hist, np.bincount(want, minlength=code_len + 1))
+            assert [hamming_distance(row, other, code_len) for other in db.packed] == want.tolist()
+        # uint8 sums (radix sort) up to 255 bits, wider beyond
+        assert d.dtype == (np.uint8 if code_len <= 255 else np.uint16)
 
 
 def per_query_values(db, q, gt, radius):
@@ -85,7 +123,7 @@ def test_hamming_distance_ignores_padding_bits():
 def test_evaluate_rejects_negative_radius_before_any_work(monkeypatch):
     db, q, gt = random_case(0, 16, 10, 2)
     calls = []
-    monkeypatch.setattr(ev, "_distances", lambda *args: calls.append(args))
+    monkeypatch.setattr(ev, "_hamming_scan", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="radius must be >= 0"):
         evaluate(db, q, gt, radii=(2, -1))
     with pytest.raises(ValueError, match="radius must be >= 0"):
