@@ -5,7 +5,8 @@ Dataset formats
          images flatten row-major to one column per sample, values 0..255.
   fvecs  little-endian records: int32 dim then dim float32 values.
   bvecs  little-endian records: int32 dim then dim uint8 values.
-  csv    one sample per row, optional header, optional final label column.
+  csv    one sample per row, optional final label column; a first line whose
+         first cell is not a number is a header.
 
 Artifact formats (all little-endian)
   model  magic "DHNN", version byte, mode byte (0 unsupervised / 1 supervised),
@@ -139,24 +140,22 @@ def load_xvecs(path, element="float32"):
     return Dataset(records["v"].T)
 
 
-def load_csv(path, labels=False, header=None):
+def load_csv(path, labels=False):
     """Comma-separated samples, one per row.
 
-    header=None sniffs the first line (non-numeric first cell means header);
+    A first line whose first cell is not a number is a header and is skipped;
     labels=True takes the final column as integer labels.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines:
         raise ValueError("%s: empty file" % path)
-    if header is None:
-        try:
-            float(lines[0].split(",")[0])
-            header = False
-        except ValueError:
-            header = True
+    try:
+        float(lines[0].split(",")[0])
+        body = lines
+    except ValueError:
+        body = lines[1:]  # a header line
     n_cols = len(lines[0].split(","))
-    body = lines[1:] if header else lines
     rows = []
     for i, ln in enumerate(body):
         cells = ln.split(",")

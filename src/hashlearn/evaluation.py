@@ -37,8 +37,7 @@ class BinaryCodes:
             raise ValueError("expected an (L, m) sign matrix, got ndim=%d" % b.ndim)
         if not np.all(np.abs(b) == 1):
             raise ValueError("sign matrix entries must be +1/-1")
-        bits = (b.T > 0).astype(np.uint8)
-        packed = np.packbits(bits, axis=1, bitorder="little")
+        packed = np.packbits(np.ascontiguousarray(b.T > 0), axis=1, bitorder="little")
         return cls(int(b.shape[0]), int(b.shape[1]), packed)
 
     def to_sign_matrix(self):

@@ -1,5 +1,6 @@
 """Limited-memory quasi-Newton minimizer over a flat parameter vector."""
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,16 +22,17 @@ class LbfgsResult:
     status: str = MAX_ITERS
 
 
-def _two_loop(g, s_list, y_list, rho_list, gamma):
-    """Two-loop recursion: returns the approximate inverse-Hessian times g."""
+def _two_loop(g, pairs, gamma):
+    """Two-loop recursion over the (s, y, rho) curvature pairs, oldest first: returns
+    the approximate inverse-Hessian times g."""
     q = g.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(pairs):
         a = rho * float(np.dot(s, q))
         q -= a * y
         alphas.append(a)
     q *= gamma
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(np.dot(y, q))
         q += (a - b) * s
     return q
@@ -61,7 +63,7 @@ def minimize(fun, x0, max_iters):
 
     history = [fx]
     best_f, best_x = fx, x.copy()
-    s_list, y_list, rho_list = [], [], []
+    pairs = deque(maxlen=_MEMORY)  # (s, y, rho), oldest first; appending evicts the oldest
     gamma = 1.0
     status = MAX_ITERS
 
@@ -69,11 +71,11 @@ def minimize(fun, x0, max_iters):
         if float(np.linalg.norm(g)) < _GRAD_TOL:
             status = GRADIENT_CONVERGED
             break
-        d = -_two_loop(g, s_list, y_list, rho_list, gamma)
+        d = -_two_loop(g, pairs, gamma)
         slope = float(np.dot(g, d))
         if slope >= 0.0:
             # stale curvature memory produced a non-descent direction
-            s_list, y_list, rho_list = [], [], []
+            pairs.clear()
             d = -g
             slope = -float(np.dot(g, g))
             if slope == 0.0:
@@ -98,20 +100,14 @@ def minimize(fun, x0, max_iters):
         # skip the pair when s.y is too small to keep the update well posed
         sy = float(np.dot(s, y))
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > _MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            pairs.append((s, y, 1.0 / sy))
             gamma = sy / float(np.dot(y, y))
         else:
             # an accepted step with unusable curvature means the stored pairs
             # no longer describe the local landscape; keeping them would pin
             # the search to the same degenerate direction, so start over from
             # scaled steepest descent
-            s_list, y_list, rho_list = [], [], []
+            pairs.clear()
         x, fx, g = x_new, f_new, g_new
         history.append(fx)
         if fx < best_f:

@@ -7,7 +7,7 @@ the nonlinearity applied at layer i+2.  Biases are 1-d and broadcast across
 samples.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,48 +76,27 @@ class NetworkParams:
         )
 
 
-@dataclass
-class ForwardTrace:
-    """Per-layer activations of one forward pass.
-
-    H[0] is the input; H[i] is the output of layer i+1 (so len(H) == upto).
-    """
-
-    H: list = field(default_factory=list)
-
-
-def _sigmoid(z, out=None):
-    # 0.5 * (1 + tanh(z / 2)): no sign split, and tanh saturates instead of overflowing
-    out = np.multiply(z, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
 def activate(kind, z, out=None):
     """The activation of z, written to out (which may be z itself) or a new array; linear returns z."""
     if kind == SIGMOID:
-        return _sigmoid(z, out)
+        # 0.5 * (1 + tanh(z / 2)): no sign split, and tanh saturates instead of overflowing
+        out = np.multiply(z, 0.5, out=out)
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= 0.5
+        return out
     if kind == LINEAR:
         return z
     raise ValueError("unknown activation %r" % (kind,))
 
 
-def activation_deriv(kind, h, out=None):
-    """Derivative of a nonlinear activation expressed through its output h, written to out if given."""
-    if kind == SIGMOID:
-        out = np.subtract(1.0, h, out=out)
-        out *= h
-        return out
-    raise ValueError("unknown activation %r" % (kind,))
-
-
 def through_activation(kind, delta, h, scratch):
     """delta times the activation derivative at output h, in place, with scratch receiving
-    the derivative; linear layers skip it."""
+    the derivative (for the sigmoid, (1 - h) h); linear layers skip it."""
     if kind != LINEAR:
-        delta *= activation_deriv(kind, h, scratch)
+        np.subtract(1.0, h, out=scratch)
+        scratch *= h
+        delta *= scratch
     return delta
 
 
@@ -134,7 +113,7 @@ def split_flat(vec, layer_sizes):
 
 class Workspace:
     """The (width, m) buffers every objective evaluation on m samples reuses.  acts, back
-    and deriv follow ForwardTrace.H[1:] to the code layer: outputs, back-propagated
+    and deriv follow forward()'s list [1:] to the code layer: outputs, back-propagated
     gradients (back[-1] is the code-layer pull) and derivative scratch (one shared buffer,
     as one derivative is live at a time); tmp and sq are code-layer scratch, resid the
     unsupervised residual, and weight_sq one shared buffer shaped as each weight block
@@ -157,19 +136,19 @@ class Workspace:
 def _forward(params, x, upto, out=None):
     """forward() without any checks; for callers that validated once up front.
     Layer outputs go to the arrays in out (a Workspace's acts) if given."""
-    trace = ForwardTrace(H=[x])
+    hs = [x]
     for i in range(upto - 1):
-        z = np.matmul(params.weights[i], trace.H[-1], out=None if out is None else out[i])
+        z = np.matmul(params.weights[i], hs[-1], out=None if out is None else out[i])
         z += params.biases[i][:, None]
-        trace.H.append(activate(params.activations[i], z, out=z))
-    return trace
+        hs.append(activate(params.activations[i], z, out=z))
+    return hs
 
 
 def forward(params, x, upto=None):
     """Run the network on (D, m) input up to the given 1-based layer index.
 
-    Returns a ForwardTrace; trace.H[-1] is the requested layer's output.
-    upto defaults to the full depth.
+    Returns the list of layer outputs: [0] is the input, [i] the output of
+    layer i+1, and [-1] the requested layer's.  upto defaults to the full depth.
     """
     params.validate()
     x = np.asarray(x, dtype=np.float64)
@@ -180,11 +159,11 @@ def forward(params, x, upto=None):
         raise ValueError("upto=%d out of range for %d layers" % (upto, n))
     if x.ndim != 2 or x.shape[0] != params.layer_sizes[0]:
         raise ValueError("input has shape %s, expected (%d, m)" % (x.shape, params.layer_sizes[0]))
-    trace = _forward(params, x, upto)
-    for i, h in enumerate(trace.H[1:]):
+    hs = _forward(params, x, upto)
+    for i, h in enumerate(hs[1:]):
         if not np.all(np.isfinite(h)):
             raise ValueError("non-finite activations at layer %d" % (i + 2))
-    return trace
+    return hs
 
 
 def first_nonfinite(a):

@@ -80,8 +80,8 @@ def value_and_grad(params, x, b, y, hyper, ws=None):
     n = params.n_layers
     if ws is None:
         ws = Workspace(params.layer_sizes, SUPERVISED, m)
-    trace = _forward(params, x, n, ws.acts)
-    h = trace.H[-1]
+    hs = _forward(params, x, n, ws.acts)
+    h = hs[-1]
     # ||H^T H / L - S||^2 and its gradient through S = 2 Y Y^T - 1 1^T: no (m, m) array
     gram = h @ h.T
     hht = gram / hyper.code_len
@@ -102,7 +102,7 @@ def value_and_grad(params, x, b, y, hyper, ws=None):
         fit *= 2.0 / (m * hyper.code_len)
         g += fit
         delta = through_activation(params.activations[n - 2], g, h, ws.deriv[-1])
-        return _backprop(params, trace, delta, n - 2, hyper.lambda1, ws)[0]
+        return _backprop(params, hs, delta, n - 2, hyper.lambda1, ws)[0]
     return j, gradient
 
 

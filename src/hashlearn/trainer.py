@@ -54,6 +54,10 @@ def default_layer_sizes(mode, n_dims, code_len, hidden=None):
     return sizes
 
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class TrainConfig:
     """Every training setting; validate() is the one place they are checked."""
@@ -97,8 +101,13 @@ class TrainConfig:
 
     def validate(self):
         sizes = self.layer_sizes
-        if any(w < 1 for w in sizes):
-            raise ValueError("layer_sizes must all be >= 1, got %s" % (list(sizes),))
+        if not all(_is_int(w) and w >= 1 for w in sizes):
+            raise ValueError("layer_sizes must all be integers >= 1, got %s" % (list(sizes),))
+        for name in ("max_iter", "lbfgs_initial", "lbfgs_subsequent", "n_per_class", "seed", "itq_iters"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError("%s must be an integer, got %r" % (name, getattr(self, name)))
+        if not isinstance(self.center_inputs, (bool, np.bool_)):
+            raise ValueError("center_inputs must be True or False, got %r" % (self.center_inputs,))
         code_layer(self.mode, len(sizes))  # rejects an unknown mode or too shallow a network
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
             v = getattr(self, name)
@@ -215,7 +224,7 @@ def _train(x, labels, config, mode):
     loss_trace, wc_histories = [], []
     for t in range(config.max_iter + 1):
         if t:
-            h_code = forward(params, x, upto=layer).H[-1]
+            h_code = forward(params, x, upto=layer)[-1]
             if mode == UNSUPERVISED:
                 b = unsupervised.b_step(params, x, h_code, b, hyper)
             else:
@@ -255,6 +264,6 @@ def encode(params, x_new):
     code_len, n = params.layer_sizes[layer - 1], x_new.shape[1]
     packed = np.empty((n, -(-code_len // 8)), dtype=np.uint8)
     for start in range(0, max(n, 1), _ENCODE_BLOCK):  # an empty input still passes forward()'s checks
-        h = forward(params, x_new[:, start:start + _ENCODE_BLOCK], upto=layer).H[-1]
+        h = forward(params, x_new[:, start:start + _ENCODE_BLOCK], upto=layer)[-1]
         packed[start:start + _ENCODE_BLOCK] = np.packbits(h.T >= 0, axis=1, bitorder="little")
     return BinaryCodes(code_len, n, packed)

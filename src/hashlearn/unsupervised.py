@@ -14,6 +14,8 @@ import numpy as np
 from hashlearn.linalg import frobenius_sq
 from hashlearn.network import UNSUPERVISED, Workspace, _forward, code_layer, split_flat, through_activation
 
+_MAX_SWEEPS = 10  # row sweeps of b_step before it stops even if a row still changes
+
 
 @dataclass(frozen=True)
 class UnsupHyper:
@@ -92,21 +94,21 @@ def _weight_decay(params, hyper, ws):
     return (hyper.lambda1 / 2.0) * sum(frobenius_sq(w, out=sq) for w, sq in zip(params.weights, ws.weight_sq))
 
 
-def _backprop(params, trace, delta, top, lambda1, ws):
+def _backprop(params, hs, delta, top, lambda1, ws):
     """Flat gradient (laid out as network.split_flat) of weight blocks 0..top,
-    weight decay included, from delta: the gradient at layer top+2's
-    activations, already through the activation derivative, with hidden-layer
-    deltas in the Workspace ws.  Returns the new vector and its weight and bias
+    weight decay included, from the layer outputs hs (as forward() lists them)
+    and delta: the gradient at layer top+2's activations, already through the
+    activation derivative, with hidden-layer deltas in the Workspace ws.  Returns the new vector and its weight and bias
     views; blocks above top are left unset."""
     g = np.empty(sum(w.size + c.size for w, c in zip(params.weights, params.biases)))
     d_w, d_c = split_flat(g, params.layer_sizes)
     for i in range(top, -1, -1):
-        np.matmul(delta, trace.H[i].T, out=d_w[i])
+        np.matmul(delta, hs[i].T, out=d_w[i])
         d_w[i] += lambda1 * params.weights[i]
         np.sum(delta, axis=1, out=d_c[i])
         if i > 0:
             delta = np.matmul(params.weights[i].T, delta, out=ws.back[i - 1])
-            through_activation(params.activations[i - 1], delta, trace.H[i], ws.deriv[i - 1])
+            through_activation(params.activations[i - 1], delta, hs[i], ws.deriv[i - 1])
     return g, d_w, d_c
 
 
@@ -119,8 +121,8 @@ def value_and_grad(params, x, b, hyper, ws=None):
     n = params.n_layers
     if ws is None:
         ws = Workspace(params.layer_sizes, UNSUPERVISED, m)
-    trace = _forward(params, x, n - 1, ws.acts)
-    h = trace.H[-1]
+    hs = _forward(params, x, n - 1, ws.acts)
+    h = hs[-1]
     w_dec = params.weights[-1]
     resid = np.subtract(x, np.matmul(w_dec, b, out=ws.resid), out=ws.resid)
     resid -= params.biases[-1][:, None]
@@ -133,7 +135,7 @@ def value_and_grad(params, x, b, hyper, ws=None):
     def gradient():
         # pull at the code layer (layer n-1), through its activation derivative
         delta = through_activation(params.activations[n - 3], pull(), h, ws.deriv[-1])
-        g, d_w, d_c = _backprop(params, trace, delta, n - 3, hyper.lambda1, ws)
+        g, d_w, d_c = _backprop(params, hs, delta, n - 3, hyper.lambda1, ws)
         np.multiply(resid_b, -1.0 / m, out=d_w[-1])
         d_w[-1] += hyper.lambda1 * w_dec
         np.multiply(resid_sum, -1.0 / m, out=d_c[-1])
@@ -155,18 +157,16 @@ def grad(params, x, b, hyper):
     return GradientSet(*split_flat(g, params.layer_sizes))
 
 
-def b_step(params, x, h_code, b_init, hyper, max_sweeps=10, objective_trace=None):
+def b_step(params, x, h_code, b_init, hyper, objective_trace=None):
     """Row-wise discrete descent on the codes with everything else fixed.
 
     Minimizes ||X - W B - c 1||_F^2 + lambda2 ||H - B||_F^2 over B in
     {-1, +1}, one code row at a time; each row update is globally optimal
     given the other rows.  Sweeps over rows until a full sweep changes
-    nothing, capped at max_sweeps.  If objective_trace is a list, the
+    nothing, capped at _MAX_SWEEPS.  If objective_trace is a list, the
     objective after every row update is appended to it.
     """
     hyper.validate()
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     m = hyper.n_samples
     code_len = hyper.code_len
@@ -183,7 +183,7 @@ def b_step(params, x, h_code, b_init, hyper, max_sweeps=10, objective_trace=None
     def objective(cur):
         return frobenius_sq(x - w @ cur - c[:, None]) + hyper.lambda2 * frobenius_sq(h_code - cur)
 
-    for _sweep in range(max_sweeps):
+    for _sweep in range(_MAX_SWEEPS):
         changed = False
         for k in range(code_len):
             arg = q[k] - (g[k] @ b - g[k, k] * b[k])

@@ -10,6 +10,7 @@ and objective_instance builds the trainer's own objective as a fixture.
 import math
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 
@@ -400,8 +401,8 @@ def traced_peak(fn):
 def unblocked_encode(params, x):
     """The encoder as one forward pass over every column, then signs: the
     oracle for trainer.encode, which works in column blocks."""
-    trace = forward(params, np.asarray(x, dtype=np.float64), upto=code_layer(params.mode, params.n_layers))
-    return BinaryCodes.from_sign_matrix(sgn(trace.H[-1]))
+    h = forward(params, np.asarray(x, dtype=np.float64), upto=code_layer(params.mode, params.n_layers))[-1]
+    return BinaryCodes.from_sign_matrix(sgn(h))
 
 
 def write_xvecs(path, x):
@@ -413,10 +414,13 @@ def write_xvecs(path, x):
 # The eager line search and the sorting ground-truth check that lbfgs.minimize
 # and evaluation.validate_ground_truth replaced.
 
-def eager_minimize(fun, x0, max_iters):
+def eager_minimize(fun, x0, max_iters, events=None):
     """lbfgs.minimize with the gradient taken at every trial point and tested
-    together with the value.  Same objective protocol, constants and two-loop
-    recursion, so results must match bit for bit."""
+    together with the value, and the curvature memory kept as three parallel
+    lists trimmed by pop(0) rather than one bounded deque.  Same objective
+    protocol, constants and two-loop recursion, so results must match bit for
+    bit.  If events is a Counter, it counts the pairs "admitted" and "evicted"
+    and the memory "reset"s."""
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0, got %d" % max_iters)
     x = np.array(x0, dtype=np.float64)
@@ -428,6 +432,7 @@ def eager_minimize(fun, x0, max_iters):
     if g.shape != x.shape:
         raise ValueError("gradient shape %s does not match parameter shape %s" % (g.shape, x.shape))
 
+    events = Counter() if events is None else events
     history = [fx]
     best_f, best_x = fx, x.copy()
     s_list, y_list, rho_list = [], [], []
@@ -438,9 +443,10 @@ def eager_minimize(fun, x0, max_iters):
         if float(np.linalg.norm(g)) < lbfgs._GRAD_TOL:
             status = lbfgs.GRADIENT_CONVERGED
             break
-        d = -lbfgs._two_loop(g, s_list, y_list, rho_list, gamma)
+        d = -lbfgs._two_loop(g, list(zip(s_list, y_list, rho_list)), gamma)
         slope = float(np.dot(g, d))
         if slope >= 0.0:
+            events["reset"] += bool(s_list)
             s_list, y_list, rho_list = [], [], []
             d = -g
             slope = -float(np.dot(g, g))
@@ -469,12 +475,15 @@ def eager_minimize(fun, x0, max_iters):
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
+            events["admitted"] += 1
             if len(s_list) > lbfgs._MEMORY:
+                events["evicted"] += 1
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)
             gamma = sy / float(np.dot(y, y))
         else:
+            events["reset"] += bool(s_list)
             s_list, y_list, rho_list = [], [], []
         x, fx, g = x_new, f_new, g_new
         history.append(fx)

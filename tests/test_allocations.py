@@ -107,12 +107,12 @@ def test_consecutive_evaluations_return_distinct_gradients(mode):
 
 @pytest.mark.parametrize("mode", [UNSUPERVISED, SUPERVISED])
 def test_forward_trace_is_not_changed_by_a_later_evaluation(mode):
-    # the code step reads forward()'s trace; it must not alias the objective's workspace
+    # the code step reads forward()'s layer outputs; it must not alias the objective's workspace
     fun, vec, params, x, ws = objective_instance(mode)
-    trace = forward(params, x, upto=code_layer(mode, params.n_layers))
-    kept = [h.copy() for h in trace.H]
+    hs = forward(params, x, upto=code_layer(mode, params.n_layers))
+    kept = [h.copy() for h in hs]
     value_and_gradient(fun, vec * 1.01)
-    for h, h0 in zip(trace.H, kept):
+    for h, h0 in zip(hs, kept):
         assert np.array_equal(h, h0)
         for buf in ws.acts + ws.back + ws.deriv + [ws.tmp, ws.sq]:
             assert not np.shares_memory(h, buf)

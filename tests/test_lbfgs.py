@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,8 @@ def test_larger_memory_not_slower_on_quadratic(monkeypatch):
 
 def test_empty_memory_is_scaled_steepest_descent():
     g = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(_two_loop(g, [], [], [], 1.0), g)
-    assert np.array_equal(_two_loop(g, [], [], [], 0.25), 0.25 * g)
+    assert np.array_equal(_two_loop(g, [], 1.0), g)
+    assert np.array_equal(_two_loop(g, [], 0.25), 0.25 * g)
 
 
 def test_gradient_converged_status():
@@ -155,15 +157,21 @@ def test_value_first_line_search_matches_eager_one_on_training_objectives(mode, 
     fun, vec, _, _, _ = objective_instance(mode, seed)
     counted_fun, log = counted(fun)
     res = minimize(counted_fun, vec, iters)
-    assert_same_result(res, eager_minimize(fun, vec, iters))
+    events = Counter()
+    assert_same_result(res, eager_minimize(fun, vec, iters, events))
     assert_gradients_only_at_history_points(log, res)
+    # more pairs than the memory holds, so the bounded deque evicts as the lists pop
+    assert events["evicted"] > 0
 
 
 def test_value_first_line_search_matches_eager_one_on_rosenbrock():
     counted_fun, log = counted(rosenbrock)
     res = minimize(counted_fun, np.array([-1.2, 1.0]), 500)
-    assert_same_result(res, eager_minimize(rosenbrock, np.array([-1.2, 1.0]), 500))
+    events = Counter()
+    assert_same_result(res, eager_minimize(rosenbrock, np.array([-1.2, 1.0]), 500, events))
     assert_gradients_only_at_history_points(log, res)
+    # the deque memory is both trimmed and cleared on this run, as the list memory is
+    assert events["evicted"] > 0 and events["reset"] > 0
 
 
 def test_finite_value_with_nonfinite_gradient_is_rejected():
@@ -177,3 +185,24 @@ def test_finite_value_with_nonfinite_gradient_is_rejected():
     assert res.history == [0.5, 0.125] and res.x[0] == 0.5
     assert log == [[0.5, 1], [0.0, 1], [0.125, 1]]
     assert_same_result(res, eager_minimize(fun, np.array([1.0]), 1))
+
+
+def test_non_descent_direction_clears_the_memory_as_the_eager_one_does(monkeypatch):
+    # flip the two-loop direction once, the first time the memory is full: both minimizers
+    # must fall back to steepest descent from an empty memory, and then agree bit for bit
+    two_loop = lbfgs._two_loop
+
+    def flip_once_full(g, pairs, gamma):
+        sizes.append(len(pairs))
+        q = two_loop(g, pairs, gamma)
+        return -q if sizes.count(lbfgs._MEMORY) == 1 and len(pairs) == lbfgs._MEMORY else q
+
+    monkeypatch.setattr(lbfgs, "_two_loop", flip_once_full)
+    runs = []
+    for minimizer in (minimize, eager_minimize):
+        sizes = []
+        runs.append((minimizer(rosenbrock, np.array([-1.2, 1.0]), 500), sizes))
+    (res, sizes), (want, want_sizes) = runs
+    assert_same_result(res, want)
+    assert sizes == want_sizes
+    assert sizes[sizes.index(lbfgs._MEMORY) + 1] <= 1

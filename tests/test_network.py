@@ -11,40 +11,40 @@ from helpers import naive_forward_column, random_params
 
 def test_zero_params_sigmoid_gives_half():
     params = NetworkParams([3, 2], [np.zeros((2, 3))], [np.zeros(2)], [SIGMOID], SUPERVISED)
-    trace = forward(params, np.random.default_rng(0).standard_normal((3, 4)))
-    assert np.all(trace.H[-1] == 0.5)
+    hs = forward(params, np.random.default_rng(0).standard_normal((3, 4)))
+    assert np.all(hs[-1] == 0.5)
 
 
 def test_identity_linear_layer_is_identity_map():
     params = NetworkParams([3, 3], [np.eye(3)], [np.zeros(3)], [LINEAR], SUPERVISED)
     x = np.random.default_rng(1).standard_normal((3, 5))
-    trace = forward(params, x)
-    assert np.array_equal(trace.H[-1], x)
+    hs = forward(params, x)
+    assert np.array_equal(hs[-1], x)
 
 
 def test_forward_matches_per_sample_oracle():
     rng = np.random.default_rng(2)
     params = random_params([5, 4, 3, 2], [SIGMOID, SIGMOID, LINEAR], SUPERVISED, rng)
     x = rng.standard_normal((5, 3))
-    trace = forward(params, x)
+    hs = forward(params, x)
     for j in range(3):
         cols = naive_forward_column(params, x[:, j], 4)
         for li, vals in enumerate(cols):
-            assert np.max(np.abs(trace.H[li][:, j] - np.array(vals))) < 1e-12
+            assert np.max(np.abs(hs[li][:, j] - np.array(vals))) < 1e-12
 
 
 def test_forward_trace_recurrences():
     rng = np.random.default_rng(3)
     params = random_params([4, 3, 2], [SIGMOID, LINEAR], SUPERVISED, rng)
     x = rng.standard_normal((4, 6))
-    trace = forward(params, x)
-    assert trace.H[0] is x or np.array_equal(trace.H[0], x)
+    hs = forward(params, x)
+    assert hs[0] is x or np.array_equal(hs[0], x)
     for i in range(2):
-        z = params.weights[i] @ trace.H[i] + params.biases[i][:, None]
-        assert np.array_equal(trace.H[i + 1], activate(params.activations[i], z))
+        z = params.weights[i] @ hs[i] + params.biases[i][:, None]
+        assert np.array_equal(hs[i + 1], activate(params.activations[i], z))
     for j in range(6):
         for li, vals in enumerate(naive_forward_column(params, x[:, j], 3)):
-            assert np.max(np.abs(trace.H[li][:, j] - np.array(vals))) < 1e-12
+            assert np.max(np.abs(hs[li][:, j] - np.array(vals))) < 1e-12
 
 
 def test_forward_upto_partial_depth():
@@ -53,17 +53,17 @@ def test_forward_upto_partial_depth():
     x = rng.standard_normal((4, 5))
     partial = forward(params, x, upto=3)
     full = forward(params, x)
-    assert len(partial.H) == 3
-    assert np.array_equal(partial.H[-1], full.H[2])
+    assert len(partial) == 3
+    assert np.array_equal(partial[-1], full[2])
 
 
 def test_batch_equals_single_columns():
     rng = np.random.default_rng(5)
     params = random_params([6, 4, 3], [SIGMOID, LINEAR], SUPERVISED, rng)
     x = rng.standard_normal((6, 7))
-    batch = forward(params, x).H[-1]
+    batch = forward(params, x)[-1]
     for j in range(7):
-        single = forward(params, x[:, j:j + 1]).H[-1][:, 0]
+        single = forward(params, x[:, j:j + 1])[-1][:, 0]
         assert np.max(np.abs(batch[:, j] - single)) < 1e-12
 
 
@@ -79,7 +79,7 @@ def test_forward_determinism():
     x = rng.standard_normal((5, 8))
     a = forward(params, x)
     b = forward(params, x)
-    for ha, hb in zip(a.H, b.H):
+    for ha, hb in zip(a, b):
         assert np.array_equal(ha, hb)
 
 

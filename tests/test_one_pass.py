@@ -76,9 +76,10 @@ def test_distances_match_popcount_table(code_len, monkeypatch):
     db, q, _ = random_case(code_len, code_len, 30, 3)
     db_words, q_words = ev._words(db), ev._words(q)
     assert db_words.shape == (30, (code_len + 63) // 64) and db_words.dtype == np.uint64
-    # whole words of row-major codes (as encode and load_codes make them) are viewed, not copied
-    row_major = BinaryCodes(code_len, 30, np.ascontiguousarray(db.packed))
-    assert np.shares_memory(ev._words(row_major), row_major.packed) == (code_len % 64 == 0)
+    # codes are packed row-major (as from_sign_matrix, encode and load_codes make them), so
+    # whole words are viewed, not copied
+    assert db.packed.flags.c_contiguous
+    assert np.shares_memory(db_words, db.packed) == (code_len % 64 == 0)
     for block in (ev._BLOCK, 7):  # one block, and several with a short last one
         monkeypatch.setattr(ev, "_BLOCK", block)
         distances = ev._hamming_scan(db_words, code_len)

@@ -99,6 +99,26 @@ def test_config_validation_errors():
     cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,), n_per_class=0)
     with pytest.raises(ValueError):
         cfg.validate()
+    # non-integer counts and seed, and a non-boolean center_inputs, fail here rather than
+    # deep inside training (or, for seed and center_inputs, not at all)
+    for name in ("max_iter", "itq_iters", "lbfgs_initial", "lbfgs_subsequent", "n_per_class", "seed"):
+        for bad in (1.5, 2.5, 2.0, True, "3"):
+            cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,), **{name: bad})
+            with pytest.raises(ValueError, match=name):
+                cfg.validate()
+    for bad in (12.5, 12.0, "12"):
+        cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,))
+        cfg.layer_sizes[1] = bad
+        with pytest.raises(ValueError, match="layer_sizes"):
+            cfg.validate()
+    for bad in ("no", 0, 1, None):
+        cfg = TrainConfig.defaults(UNSUPERVISED, 32, 8, hidden=(12,), center_inputs=bad)
+        with pytest.raises(ValueError, match="center_inputs"):
+            cfg.validate()
+    cfg = TrainConfig.defaults(UNSUPERVISED, 32, 8, hidden=(12,), seed=np.int64(3), max_iter=np.int32(2),
+                               center_inputs=np.True_)
+    cfg.layer_sizes[1] = np.int64(12)
+    cfg.validate()  # numpy integers and booleans pass
 
 
 def test_derive_seed_named_streams():
@@ -193,7 +213,7 @@ def test_encode_matches_forward_signs():
     cfg.max_iter = 1
     res = train_unsupervised(x, cfg)
     n = res.params.n_layers
-    h = forward(res.params, x, upto=n - 1).H[-1]
+    h = forward(res.params, x, upto=n - 1)[-1]
     codes = encode(res.params, x)
     assert np.array_equal(codes.to_sign_matrix(), sgn(h))
 
@@ -242,8 +262,8 @@ def test_center_inputs_matches_manual_centering(mode):
     assert np.array_equal(res_raw.codes.packed, res_pre.codes.packed)
     # the folded first bias makes the raw-input forward match the centered one
     layer = code_layer(mode, res_raw.params.n_layers)
-    h_raw = forward(res_raw.params, x, upto=layer).H[-1]
-    h_pre = forward(res_pre.params, x_pre, upto=layer).H[-1]
+    h_raw = forward(res_raw.params, x, upto=layer)[-1]
+    h_pre = forward(res_pre.params, x_pre, upto=layer)[-1]
     assert np.allclose(h_raw, h_pre, rtol=1e-9, atol=1e-9)
 
 
