@@ -3,7 +3,8 @@
 A change that should leave results bit-identical must leave this digest as it
 is.  It covers both training modes at seeds 0-2 with input centring on and off
 (codes, loss traces, L-BFGS histories, statuses and weights), and the files of
-one CLI run of train -> encode -> gt -> eval.  The digest depends on the BLAS
+one CLI run of train -> encode -> gt -> eval, with Euclidean ground truth from
+fvecs files and label ground truth from CSV files with a label column.  The digest depends on the BLAS
 and the machine, so compare it only between checkouts run on one machine:
 
     PYTHONPATH=src python scripts/bit_identity.py
@@ -63,6 +64,12 @@ def _write_fvecs(path, x):
     return path
 
 
+def _write_csv(path, x, labels):
+    """One row per column of x, its label last; %.9g keeps every float32 value."""
+    np.savetxt(path, np.column_stack([x.T, labels]), fmt="%.9g", delimiter=",")
+    return path
+
+
 def _json_without(path, keys):
     """A JSON report's bytes, canonical, without the keys that hold paths or wall times."""
     with open(path, encoding="utf-8") as f:
@@ -72,13 +79,15 @@ def _json_without(path, keys):
 
 def cli_digest():
     """Digest of the model, codes, ground-truth and report files of one CLI pipeline."""
-    x, _ = gaussian_clusters(N_DIMS, 1300, 20, seed=7, center_scale=3.0)
+    x, labels = gaussian_clusters(N_DIMS, 1300, 20, seed=7, center_scale=3.0)
     with tempfile.TemporaryDirectory() as tmp:
         def path(name):
             return os.path.join(tmp, name)
         train, db, queries = (_write_fvecs(path(name), part) for name, part in
                               (("train.fvecs", x[:, :400]), ("db.fvecs", x[:, 300:1200]),
                                ("queries.fvecs", x[:, 1200:])))
+        db_csv = _write_csv(path("db.csv"), x[:, 300:1200], labels[300:1200])
+        queries_csv = _write_csv(path("queries.csv"), x[:, 1200:], labels[1200:])
         steps = [
             ["train", "--data", train, "--bits", str(CODE_LEN), "--layers", "12,10", "--center", "--max-iter", "3",
              "--seed", "3", "--out", path("model.dhnn")],
@@ -87,17 +96,22 @@ def cli_digest():
             ["gt", "--data", db, "--queries", queries, "--gt-k", "20", "--out", path("gt.bin")],
             ["eval", "--db", path("db.dhcb"), "--queries", path("queries.dhcb"), "--gt", path("gt.bin"),
              "--report", path("eval.json")],
+            ["gt", "--method", "label", "--data", db_csv, "--labels", "last", "--queries", queries_csv,
+             "--query-labels", "last", "--out", path("label_gt.bin")],
+            ["eval", "--db", path("db.dhcb"), "--queries", path("queries.dhcb"), "--gt", path("label_gt.bin"),
+             "--topk", "100", "--report", path("label_eval.json")],
         ]
         for argv in steps:
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli.main(argv) != 0:
                     raise SystemExit("hashlearn %s failed" % argv[0])
         h = hashlib.sha256()
-        for name in ("model.dhnn", "model.dhcb", "db.dhcb", "queries.dhcb", "gt.bin"):
+        for name in ("model.dhnn", "model.dhcb", "db.dhcb", "queries.dhcb", "gt.bin", "label_gt.bin"):
             with open(path(name), "rb") as f:
                 h.update(f.read())
         h.update(_json_without(path("model.json"), ("config", "outputs", "timing")))
         h.update(_json_without(path("eval.json"), ("config",)))
+        h.update(_json_without(path("label_eval.json"), ("config",)))
     return h.hexdigest()
 
 

@@ -159,9 +159,10 @@ def _certified_block(database, shifted, sq_norms, block, shift, k, n_cand):
     reach = (np.sqrt(sq_norms.max()) + np.sqrt(q_sq)) ** 2
     bounds = (dim + 8) * (_F32.eps * reach + _F32.smallest_subnormal)
     # np.sum adds rows in sequence on row-major data but pairwise down each column on
-    # column-major data; gathering the candidates in the database's memory order keeps
-    # their distances bit-identical to the scan's
-    column_major = abs(database.strides[0]) < abs(database.strides[1])
+    # column-major data; database[:, cand] copies only the candidates (take() would copy a
+    # strided database whole first), and their differences are laid out in the database's
+    # memory order, so their distances are bit-identical to the scan's
+    layout = "F" if abs(database.strides[0]) < abs(database.strides[1]) else "C"
     out = []
     for q, g, q_norm, bound, fits in zip(np.asarray(block, dtype=np.float64).T, approx, q_sq, bounds,
                                          reach < _F32.max / 2):
@@ -170,8 +171,7 @@ def _certified_block(database, shifted, sq_norms, block, shift, k, n_cand):
             continue
         edge = np.partition(g, n_cand)[n_cand]  # no excluded column is below it
         cand = np.flatnonzero(g < edge)
-        near = database[:, cand] if column_major else database.take(cand, axis=1)
-        d = np.sum((near - q[:, None]) ** 2, axis=0)
+        d = np.sum(np.subtract(database[:, cand], q[:, None], order=layout) ** 2, axis=0)
         order = np.argsort(d, kind="stable")[:k]
         out.append(cand[order] if order.size == k and d[order[-1]] < edge + q_norm - bound else None)
     return out
@@ -214,12 +214,21 @@ def euclidean_knn_gt(database, queries, k):
 
 
 def label_gt(db_labels, query_labels):
-    """Relevant set per query: every database item sharing the query's label."""
+    """Relevant set per query: every database item sharing the query's label.
+
+    Queries with equal labels share one read-only int64 array.
+    """
     db_labels = np.asarray(db_labels)
     query_labels = np.asarray(query_labels)
     if db_labels.ndim != 1 or query_labels.ndim != 1:
         raise ValueError("labels must be 1-d arrays")
-    return [np.flatnonzero(db_labels == q).astype(np.int64) for q in query_labels]
+    shared, out = {}, []  # keyed by label, so labels need == and hashing but no order
+    for label in query_labels:
+        if label not in shared:
+            shared[label] = idx = np.flatnonzero(db_labels == label).astype(np.int64, copy=False)
+            idx.flags.writeable = False
+        out.append(shared[label])
+    return out
 
 
 def validate_ground_truth(gt, db_size, n_queries):
@@ -228,7 +237,11 @@ def validate_ground_truth(gt, db_size, n_queries):
     # a position of each index in the current list; the positions fit unless an index
     # repeats, and a position that wraps around never reads back as itself
     last = np.empty(db_size, dtype=np.min_scalar_type(db_size))
+    checked = {}  # each list once; holding it keeps its id from being reused
     for qi, idx in enumerate(gt):
+        if id(idx) in checked:
+            continue
+        checked[id(idx)] = idx
         idx = np.asarray(idx).ravel()
         if not idx.size:
             continue
@@ -283,18 +296,20 @@ def _ranked_prefix(d, cut, n_cut, stop, inside):
 
 
 def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
-    """Validate once, then one Hamming pass per query; radii come from _whole_radii.
+    """Validate once, then one Hamming pass per distinct query code; radii come from _whole_radii.
 
-    Each query's distances are computed once, on 64-bit words, with their
-    histogram.  The precision of the ball of each radius comes from the cumulative
-    histograms of all and of the relevant distances.  The AP of the stable ranking
-    (ties toward the lower index, capped at top_k) comes from the ranks of the
-    relevant items.  Only codes at or inside the cut can rank ahead of a relevant
-    one; the cut is the farthest relevant distance, lowered to the top_k-th code's
-    distance if top_k is given.  When those codes are at most 1 / _CUT_SHARE of the
-    database, only they are sorted (_ranked_prefix), else the whole database is.
-    Returns (per_query_ap, [per_query_precision for each radius]); the AP list is
-    empty unless with_ap.
+    Queries with equal codes share their distances, computed once on 64-bit words with
+    their histogram, and a ranking; queries that also have relevant lists of equal content
+    share their numbers.  The precision of the ball of each radius comes from the cumulative
+    histograms of all and of the relevant distances.  The AP of the stable ranking (ties
+    toward the lower index, capped at top_k) comes from the ranks of the relevant items.
+    Only codes at or inside the cut can rank ahead of a relevant one; each code is ranked
+    once, and its cut is the farthest relevant distance of all its lists, lowered to the
+    top_k-th code's distance if top_k is given.  A list whose relevant items are all
+    nearer finds them at the same ranks as in a ranking at its own cut.  When the codes
+    at or inside the cut are at most 1 / _CUT_SHARE of the database, only they are sorted
+    (_ranked_prefix), else the whole database is.  Returns (per_query_ap,
+    [per_query_precision for each radius]); the AP list is empty unless with_ap.
     """
     db_codes.validate()
     query_codes.validate()
@@ -303,36 +318,51 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be >= 1 when given")
     validate_ground_truth(gt, db_codes.count, query_codes.count)
-    aps, precisions = [], [[] for _ in radii]
-    code_len, n = db_codes.code_len, db_codes.count
+    code_len, n, n_q = db_codes.code_len, db_codes.count, query_codes.count
+    aps, precisions = [0.0] * n_q if with_ap else [], [[0.0] * n_q for _ in radii]
     distances = _hamming_scan(_words(db_codes), code_len)
-    # buffers every query reuses; rel marks the current query's relevant codes
+    # buffers every code reuses; rel marks the current list's relevant codes
     inside = np.empty(n, dtype=bool)
     rel = np.zeros(n, dtype=bool)
-    for q, gt_q in zip(_words(query_codes), gt):
-        d, hist = distances(q)
-        gt_q = np.asarray(gt_q, dtype=np.int64)
-        d_rel = d[gt_q]
+    words = _words(query_codes)
+    groups = {}  # each distinct code's bytes -> the queries with that code
+    for qi, code in enumerate(words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()):
+        groups.setdefault(code, []).append(qi)
+    for group in groups.values():
+        d, hist = distances(words[group[0]])
         n_within = np.add.accumulate(hist)
-        if with_ap and gt_q.size:
-            cut = int(np.maximum.reduce(d_rel))
+        by_content = {}  # each distinct relevant list's bytes -> (the list, its queries)
+        for qi in group:
+            gt_q = np.asarray(gt[qi], dtype=np.int64)
+            by_content.setdefault(gt_q.tobytes(), (gt_q, []))[1].append(qi)
+        lists = []  # (relevant list, its queries, relevant codes within each radius)
+        cut = -1
+        for gt_q, queries in by_content.values():
+            d_rel = d[gt_q]
+            if gt_q.size:
+                cut = max(cut, int(np.maximum.reduce(d_rel)))
+            rel_within = np.add.accumulate(np.bincount(d_rel, minlength=code_len + 1)) if radii else None
+            lists.append((gt_q, queries, rel_within))
+        if with_ap and cut >= 0:
             if top_k is not None:
                 cut = min(cut, int(np.searchsorted(n_within, top_k)))
             n_cut = int(n_within[cut])
             order = _ranked_prefix(d, cut, n_cut, n_cut if top_k is None else min(n_cut, top_k), inside)
-            rel[gt_q] = True
-            # the t-th relevant item in the ranking has t hits
-            ranks = np.flatnonzero(rel[order]) + 1
-            rel[gt_q] = False
-            aps.append(float(np.add.reduce(np.arange(1, ranks.size + 1) / ranks)) / gt_q.size)
-        elif with_ap:
-            aps.append(0.0)
-        if radii:
-            rel_within = np.add.accumulate(np.bincount(d_rel, minlength=code_len + 1))
+        for gt_q, queries, rel_within in lists:
+            if with_ap and gt_q.size:
+                rel[gt_q] = True
+                # the t-th relevant item in the ranking has t hits
+                ranks = np.flatnonzero(rel[order]) + 1
+                rel[gt_q] = False
+                ap = float(np.add.reduce(np.arange(1, ranks.size + 1) / ranks)) / gt_q.size
+                for qi in queries:
+                    aps[qi] = ap
             for per_r, r in zip(precisions, radii):
                 r = min(r, code_len)
                 n_retrieved = int(n_within[r])
-                per_r.append(float(rel_within[r]) / n_retrieved if n_retrieved else 0.0)
+                precision = float(rel_within[r]) / n_retrieved if n_retrieved else 0.0
+                for qi in queries:
+                    per_r[qi] = precision
     return aps, precisions
 
 

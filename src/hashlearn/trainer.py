@@ -58,6 +58,10 @@ def _is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_real(v):
+    return _is_int(v) or isinstance(v, (float, np.floating))
+
+
 @dataclass
 class TrainConfig:
     """Every training setting; validate() is the one place they are checked."""
@@ -111,8 +115,8 @@ class TrainConfig:
         code_layer(self.mode, len(sizes))  # rejects an unknown mode or too shallow a network
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError("%s must be finite and >= 0, got %r" % (name, v))
+            if not _is_real(v) or not np.isfinite(v) or v < 0:
+                raise ValueError("%s must be a finite number >= 0, got %r" % (name, v))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.lbfgs_initial < 0 or self.lbfgs_subsequent < 0:

@@ -361,6 +361,14 @@ def loop_knn_gt(database, queries, k):
     return out
 
 
+# Oracle for the label ground truth: the per-query scan that label_gt's one shared
+# array per distinct label replaced.
+
+def loop_label_gt(db_labels, query_labels):
+    """Every database item sharing the query's label, one new array per query."""
+    return [np.flatnonzero(np.asarray(db_labels) == q).astype(np.int64) for q in np.asarray(query_labels)]
+
+
 # Labelled data for the dependency-free supervised-vs-unsupervised check.
 
 def labelled_with_nuisance(seed, per_class_counts):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hashlearn.evaluation import (BinaryCodes, euclidean_knn_gt, evaluate, label_gt, mean_average_precision,
                                   precision_at_radius, validate_ground_truth)
 
-from helpers import (brute_force_ap, brute_force_precision, hamming_distance, naive_hamming, unique_validate_ground_truth,
-                     unpack_codes)
+from helpers import (brute_force_ap, brute_force_precision, hamming_distance, loop_label_gt, naive_hamming,
+                     unique_validate_ground_truth, unpack_codes)
 
 
 def codes_from(columns):
@@ -159,6 +159,28 @@ def test_label_gt_cases():
     got = label_gt([0, 1, 0, 2, 1], [1, 0])
     assert got[0].tolist() == [1, 4]
     assert got[1].tolist() == [0, 2]
+    assert label_gt([], []) == []
+
+
+@pytest.mark.parametrize("db_labels, query_labels", [
+    (np.random.default_rng(0).integers(0, 10, 500), np.random.default_rng(1).integers(0, 12, 300)),
+    (np.array([2.5, np.nan, -0.0, 1.0, 0.0]), np.array([0.0, np.nan, -0.0, 2.5, 7.0, 1])),
+    (np.array(["b", "a", "b"]), np.array(["a", "b", "c", "b"])),
+    (np.array([3, 1, 3], dtype=np.uint8), np.array([3, 3, 1])),
+    (np.array([None, 1, None], dtype=object), np.array([1, None, None], dtype=object)),  # no order
+])
+def test_label_gt_shares_one_read_only_array_per_label(db_labels, query_labels):
+    got = label_gt(db_labels, query_labels)
+    want = loop_label_gt(db_labels, query_labels)
+    assert len(got) == len(want) == len(query_labels)
+    for g, w, label in zip(got, want, query_labels):
+        assert g.dtype == np.int64 and np.array_equal(g, w)
+        # queries with equal labels get the very same array, which no caller can change
+        assert all(h is g for h, other in zip(got, query_labels) if other == label)
+        assert not g.flags.writeable
+        if g.size:
+            with pytest.raises(ValueError, match="read-only"):
+                g[0] = 0
 
 
 def test_validate_ground_truth_errors():
@@ -201,6 +223,9 @@ GT_CASES = [
     ([np.array([[0, 1], [2, 1]])], 3, 1),
     ([np.array([[0, 1], [2, 3]])], 4, 1),
     ([[0, 1]], 0, 1),
+    ([np.array([2, 2])] * 2, 3, 2),                                 # one list object, checked once
+    ([np.arange(3)] * 3 + [[0, 0]], 3, 4),                          # a bad list after a shared one
+    (np.array([[0, 1], [1, 2], [0, 2], [2, 2]]), 3, 4),             # rows are new views on each pass
 ]
 
 

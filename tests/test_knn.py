@@ -112,7 +112,8 @@ def test_near_ties_rank_as_the_scan_in_every_memory_layout(monkeypatch):
     """Row-major data is summed row by row and column-major data pairwise down each
     column; the candidates' re-rank must add in the scan's order whatever the layout and
     element type, or near-tied distances that differ in the last bits change places.  The
-    last layout is the (D, n) view of an fvecs file that load_xvecs returns."""
+    second to last is a column slice of a wider row-major array, and the last the (D, n)
+    view of an fvecs file that load_xvecs returns."""
     calls = counting_scan(monkeypatch)
     base = permuted_points(np.random.default_rng(2), 64, 400)
     queries = np.full((64, 3), 0.25)
@@ -122,7 +123,7 @@ def test_near_ties_rank_as_the_scan_in_every_memory_layout(monkeypatch):
                np.ascontiguousarray(np.repeat(base, 2, axis=1))[:, ::2],
                np.asfortranarray(np.repeat(base, 2, axis=0))[::2],
                np.ascontiguousarray(base, dtype=np.float32), np.asfortranarray(base, dtype=np.float32),
-               records[:, 1:].T]
+               np.ascontiguousarray(np.concatenate([base, base[:, :100]], axis=1))[:, :400], records[:, 1:].T]
     for database in layouts:
         for g, w in zip(euclidean_knn_gt(database, queries, 20), loop_knn_gt(database, queries, 20)):
             assert np.array_equal(g, w)
@@ -157,6 +158,23 @@ def test_float32_peak_stays_below_a_float64_copy():
     finally:
         tracemalloc.stop()
     assert peak < database.size * 8
+
+
+def test_column_slice_is_not_copied_whole():
+    """A column slice of a row-major array is not contiguous, and take() would copy all of
+    it for every query; only the candidates are gathered."""
+    points = np.random.default_rng(3).standard_normal((64, 10_200))
+    database, queries = points[:, :10_000], points[:, 10_000:]
+    assert not database.flags.c_contiguous and not database.flags.f_contiguous
+    tracemalloc.start()
+    try:
+        got = euclidean_knn_gt(database, queries, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < database.size * 8  # the float32 copy and one GEMM block, but no float64 copy
+    for g, w in zip(got, loop_knn_gt(database, queries, 50)):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("case", ["column_at_1e30", "column_at_1e20", "query_at_2.5e38", "scale_1e-30",

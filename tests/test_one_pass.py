@@ -71,6 +71,50 @@ def test_one_pass_bit_identical_to_separate_loops(monkeypatch):
     assert cuts[-1] and cuts[0] and cuts[1]
 
 
+def repeated_codes_case(seed, code_len, n_db, n_q):
+    """Queries drawn from a pool of a few codes with no flipped bits, so that codes repeat,
+    and relevant lists that repeat by object and by content (as copies, Python lists and
+    narrower integer types), a few of them empty."""
+    rng = np.random.default_rng(seed)
+    pool = np.where(rng.random((code_len, int(rng.integers(1, 6)))) < 0.5, 1.0, -1.0)
+    db = pool[:, rng.integers(0, pool.shape[1], size=n_db)] * np.where(rng.random((code_len, n_db)) < 0.1, -1.0, 1.0)
+    q = pool[:, rng.integers(0, pool.shape[1], size=n_q)]
+    lists = [rng.choice(n_db, size=int(rng.integers(0, n_db + 1)), replace=False) for _ in range(4)]
+    lists.append(np.array([], dtype=np.int64))
+    copies = (lambda g: g, np.copy, list, lambda g: g.astype(np.uint32))
+    gt = [copies[rng.integers(0, 4)](lists[rng.integers(0, 5)]) for _ in range(n_q)]
+    return BinaryCodes.from_sign_matrix(db), BinaryCodes.from_sign_matrix(q), gt
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_repeated_codes_rank_once_per_code(seed, monkeypatch):
+    code_len = (1, 7, 16, 64, 65, 256)[seed % 6]
+    db, q, gt = repeated_codes_case(seed, code_len, 120, 40)
+    calls = collections.Counter()
+    hamming_scan = ev._hamming_scan
+
+    def counted_scan(words, length):
+        distances = hamming_scan(words, length)
+
+        def counted(word):
+            calls[word.tobytes()] += 1
+            return distances(word)
+        return counted
+    monkeypatch.setattr(ev, "_hamming_scan", counted_scan)
+    radii = [0, 2, code_len // 2, code_len + 1]
+    for top_k in (None, 1, 7, 60, 500):
+        calls.clear()
+        assert evaluate(db, q, gt, radii=radii, top_k=top_k) == separate_evaluate(db, q, gt, radii=radii, top_k=top_k)
+        # one Hamming pass per distinct query code
+        assert sorted(calls) == sorted({w.tobytes() for w in ev._words(q)})
+        assert set(calls.values()) == {1}
+    assert mean_average_precision(db, q, gt, 7) == separate_mean_average_precision(db, q, gt, 7)
+    assert precision_at_radius(db, q, gt, 2) == separate_precision_at_radius(db, q, gt, 2)
+    # ground truth as one 2-d array: its rows are new view objects on every access
+    rows = np.array([np.arange(5) * 7 + i % 3 for i in range(q.count)])
+    assert evaluate(db, q, rows, top_k=9) == separate_evaluate(db, q, rows, top_k=9)
+
+
 @pytest.mark.parametrize("code_len", [1, 7, 8, 63, 64, 65, 255, 256, 300])
 def test_distances_match_popcount_table(code_len, monkeypatch):
     db, q, _ = random_case(code_len, code_len, 30, 3)

@@ -86,7 +86,7 @@ def test_config_validation_errors():
     cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(0,))
     with pytest.raises(ValueError, match="layer_sizes"):
         cfg.validate()
-    for bad in (-1e-3, np.nan, np.inf):
+    for bad in (-1e-3, np.nan, np.inf, "x", None, [1], True, np.True_, 1j):
         cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,), lambda3=bad)
         with pytest.raises(ValueError, match="lambda3"):
             cfg.validate()
@@ -119,6 +119,8 @@ def test_config_validation_errors():
                                center_inputs=np.True_)
     cfg.layer_sizes[1] = np.int64(12)
     cfg.validate()  # numpy integers and booleans pass
+    TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,), lambda1=2, lambda2=np.float32(0.5), lambda3=np.int64(0),
+                         lambda4=0.0).validate()
 
 
 def test_derive_seed_named_streams():
