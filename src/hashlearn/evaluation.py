@@ -16,6 +16,7 @@ from hashlearn.network import check_finite
 _F32 = np.finfo(np.float32)
 _BLOCK = 16384  # database codes per XOR block in _hamming_scan: a 128 KB buffer
 _CUT_SHARE = 4  # _ranked_prefix sorts only the codes inside the cut when they are at most n / 4
+_CHECK_CHUNK = 4096  # indices validate_ground_truth checks at once: 32 KB for each int64 temporary
 
 
 def _bytes_per_code(code_len):
@@ -78,29 +79,26 @@ def _words(codes):
 
 def _hamming_scan(words, code_len):
     """A function of a word-form query q that returns the Hamming distances from q to each
-    row of words, in one array that every call overwrites, and their histogram over 0..L.
+    row of words, in one array that every call overwrites.
 
     The distances have the smallest unsigned type that holds code_len, so for L <= 255
     the stable argsort over them is numpy's radix sort.  The rows go in blocks of
-    _BLOCK, so the XORed words, and the intp copy np.bincount makes, take cache-sized
-    buffers rather than ones the size of the database.
+    _BLOCK, so the XORed words take a cache-sized buffer rather than one the size of
+    the database.
     """
     n, n_words = words.shape
     out = np.empty(n, dtype=np.min_scalar_type(code_len))
     step = max(1, min(n, _BLOCK))
     xor, count = np.empty(step, dtype=np.uint64), np.empty(step, dtype=np.uint8)
-    starts = range(0, n, step) or [0]  # one empty block if n == 0: the histogram is still made
-    blocks = [(words[start:start + step].T, out[start:start + step]) for start in starts]
+    blocks = [(words[start:start + step].T, out[start:start + step]) for start in range(0, n, step)]
     blocks = [(cols, d, xor[:d.size], count[:d.size]) for cols, d in blocks]
 
     def distances(q):
-        hist = 0
         for cols, d, x, c in blocks:
             np.bitwise_count(np.bitwise_xor(cols[0], q[0], out=x), out=d)
             for j in range(1, n_words):
                 d += np.bitwise_count(np.bitwise_xor(cols[j], q[j], out=x), out=c)
-            hist = hist + np.bincount(d, minlength=code_len + 1)
-        return out, hist
+        return out
     return distances
 
 
@@ -231,13 +229,43 @@ def label_gt(db_labels, query_labels):
     return out
 
 
+def _check_lists(lists, owners, db_size):
+    """Raise for the first of the non-empty integer index lists that has an index outside
+    [0, db_size) or a repeated one; owners[i] is the query lists[i] is reported for."""
+    if not lists:
+        return
+    sizes = [idx.size for idx in lists]
+    ends = np.cumsum(sizes)
+    # indices >= 2**63 in uint64 wrap to negative ones, which are out of range as well
+    flat = np.concatenate(lists, dtype=np.int64, casting="unsafe")
+    # one unsigned comparison: a negative index reads as one >= 2**63
+    outside = np.flatnonzero(flat.view(np.uint64) >= db_size)
+    n_ok = int(np.searchsorted(ends, outside[0], side="right")) if outside.size else len(lists)
+    # within a list a range fault is reported first, so only the lists before it are searched
+    # for repeats; every index there is in range, so each key falls in its own list's span
+    span = max(db_size, 1)
+    keys = np.repeat(np.arange(n_ok, dtype=np.int64) * span, sizes[:n_ok])
+    keys += flat[:keys.size]
+    keys.sort()
+    repeats = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeats.size:
+        raise ValueError("ground truth for query %d has duplicate indices" % owners[int(keys[repeats[0]]) // span])
+    if n_ok < len(lists):
+        raise ValueError("ground truth for query %d has indices outside [0, %d)" % (owners[n_ok], db_size))
+
+
 def validate_ground_truth(gt, db_size, n_queries):
+    """Check that gt has one list of distinct integer indices in [0, db_size) per query.
+
+    Each list object is checked once, in query order, and the first query whose list has
+    a fault is reported: a non-integer type first, then an index out of range, then a
+    repeated index.  The lists are checked together in chunks of about _CHECK_CHUNK
+    indices, so that no temporary grows with the number of queries.
+    """
     if len(gt) != n_queries:
         raise ValueError("ground truth covers %d queries, expected %d" % (len(gt), n_queries))
-    # a position of each index in the current list; the positions fit unless an index
-    # repeats, and a position that wraps around never reads back as itself
-    last = np.empty(db_size, dtype=np.min_scalar_type(db_size))
     checked = {}  # each list once; holding it keeps its id from being reused
+    lists, owners, size = [], [], 0
     for qi, idx in enumerate(gt):
         if id(idx) in checked:
             continue
@@ -246,12 +274,15 @@ def validate_ground_truth(gt, db_size, n_queries):
         if not idx.size:
             continue
         if idx.dtype.kind not in "iu":
+            _check_lists(lists, owners, db_size)
             raise ValueError("ground truth for query %d holds %s, not integer indices" % (qi, idx.dtype))
-        if idx.min() < 0 or idx.max() >= db_size:
-            raise ValueError("ground truth for query %d has indices outside [0, %d)" % (qi, db_size))
-        last[idx] = positions = np.arange(idx.size)  # a repeated index keeps one of its positions
-        if not np.array_equal(last[idx], positions):
-            raise ValueError("ground truth for query %d has duplicate indices" % qi)
+        if size + idx.size > _CHECK_CHUNK:
+            _check_lists(lists, owners, db_size)
+            lists, owners, size = [], [], 0
+        lists.append(idx)
+        owners.append(qi)
+        size += idx.size
+    _check_lists(lists, owners, db_size)
 
 
 @dataclass
@@ -280,34 +311,39 @@ def _whole_radii(radii):
     return out
 
 
-def _ranked_prefix(d, cut, n_cut, stop, inside):
+def _n_within(d, r, inside):
+    """The number of distances d <= r, which the bool array inside is set to mark."""
+    return int(np.count_nonzero(np.less_equal(d, r, out=inside)))
+
+
+def _ranked_prefix(d, inside, n_cut, stop):
     """The first stop codes of the stable ranking by the distances d (ties toward the
-    lower index), given that n_cut >= stop of them are at distance <= cut.
+    lower index), given the mask inside of the n_cut >= stop codes at or inside the cut.
 
     Only those n_cut codes can rank among the first stop, and picking them out keeps
     their database order, so sorting them alone gives the same ranking.  That is
     done when they are at most 1 / _CUT_SHARE of d; otherwise all of d is sorted.
-    inside is a bool scratch array the size of d.
     """
     if n_cut * _CUT_SHARE > d.size:
         return np.argsort(d, kind="stable")[:stop]
-    cand = np.flatnonzero(np.less_equal(d, cut, out=inside))
+    cand = np.flatnonzero(inside)
     return cand[np.argsort(d[cand], kind="stable")[:stop]]
 
 
 def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
     """Validate once, then one Hamming pass per distinct query code; radii come from _whole_radii.
 
-    Queries with equal codes share their distances, computed once on 64-bit words with
-    their histogram, and a ranking; queries that also have relevant lists of equal content
-    share their numbers.  The precision of the ball of each radius comes from the cumulative
-    histograms of all and of the relevant distances.  The AP of the stable ranking (ties
-    toward the lower index, capped at top_k) comes from the ranks of the relevant items.
-    Only codes at or inside the cut can rank ahead of a relevant one; each code is ranked
-    once, and its cut is the farthest relevant distance of all its lists, lowered to the
-    top_k-th code's distance if top_k is given.  A list whose relevant items are all
-    nearer finds them at the same ranks as in a ranking at its own cut.  When the codes
-    at or inside the cut are at most 1 / _CUT_SHARE of the database, only they are sorted
+    Queries with equal codes share their distances, computed once on 64-bit words, and a
+    ranking; queries that also have relevant lists of equal content share their numbers.
+    The precision of the ball of each radius divides the relevant codes within it, counted
+    from a histogram of the list's distances, by all codes within it, counted over the
+    database.  The AP of the stable ranking (ties toward the lower index, capped at top_k)
+    comes from the ranks of the relevant items.  Only codes at or inside the cut can rank
+    ahead of a relevant one; each code is ranked once, and its cut is the farthest relevant
+    distance of all its lists, lowered by bisection to the smallest distance that top_k
+    codes are at or inside, if top_k is given.  A list whose relevant items are all nearer
+    finds them at the same ranks as in a ranking at its own cut.  When the codes at or
+    inside the cut are at most 1 / _CUT_SHARE of the database, only they are sorted
     (_ranked_prefix), else the whole database is.  Returns (per_query_ap,
     [per_query_precision for each radius]); the AP list is empty unless with_ap.
     """
@@ -320,8 +356,10 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
     validate_ground_truth(gt, db_codes.count, query_codes.count)
     code_len, n, n_q = db_codes.code_len, db_codes.count, query_codes.count
     aps, precisions = [0.0] * n_q if with_ap else [], [[0.0] * n_q for _ in radii]
+    radii = [min(r, code_len) for r in radii]  # a ball beyond L holds the same codes as at L
     distances = _hamming_scan(_words(db_codes), code_len)
-    # buffers every code reuses; rel marks the current list's relevant codes
+    # buffers every code reuses; inside marks the codes within the last radius counted,
+    # rel the current list's relevant codes
     inside = np.empty(n, dtype=bool)
     rel = np.zeros(n, dtype=bool)
     words = _words(query_codes)
@@ -329,8 +367,8 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
     for qi, code in enumerate(words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()):
         groups.setdefault(code, []).append(qi)
     for group in groups.values():
-        d, hist = distances(words[group[0]])
-        n_within = np.add.accumulate(hist)
+        d = distances(words[group[0]])
+        n_at_radius = [_n_within(d, r, inside) for r in radii]
         by_content = {}  # each distinct relevant list's bytes -> (the list, its queries)
         for qi in group:
             gt_q = np.asarray(gt[qi], dtype=np.int64)
@@ -344,22 +382,31 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
             rel_within = np.add.accumulate(np.bincount(d_rel, minlength=code_len + 1)) if radii else None
             lists.append((gt_q, queries, rel_within))
         if with_ap and cut >= 0:
-            if top_k is not None:
-                cut = min(cut, int(np.searchsorted(n_within, top_k)))
-            n_cut = int(n_within[cut])
-            order = _ranked_prefix(d, cut, n_cut, n_cut if top_k is None else min(n_cut, top_k), inside)
+            n_cut = _n_within(d, cut, inside)
+            # the cut is a code's distance, so with n_cut == top_k no smaller radius holds top_k codes
+            if top_k is not None and n_cut > top_k:
+                # bisect for the smallest radius with top_k codes within it
+                lo, masked = 0, cut
+                while lo < cut:
+                    mid = (lo + cut) // 2
+                    masked, n_mid = mid, _n_within(d, mid, inside)
+                    if n_mid >= top_k:
+                        cut, n_cut = mid, n_mid
+                    else:
+                        lo = mid + 1
+                if masked != cut:
+                    _n_within(d, cut, inside)
+            order = _ranked_prefix(d, inside, n_cut, n_cut if top_k is None else min(n_cut, top_k))
         for gt_q, queries, rel_within in lists:
             if with_ap and gt_q.size:
                 rel[gt_q] = True
                 # the t-th relevant item in the ranking has t hits
-                ranks = np.flatnonzero(rel[order]) + 1
+                ranks = rel[order].nonzero()[0] + 1
                 rel[gt_q] = False
                 ap = float(np.add.reduce(np.arange(1, ranks.size + 1) / ranks)) / gt_q.size
                 for qi in queries:
                     aps[qi] = ap
-            for per_r, r in zip(precisions, radii):
-                r = min(r, code_len)
-                n_retrieved = int(n_within[r])
+            for per_r, r, n_retrieved in zip(precisions, radii, n_at_radius):
                 precision = float(rel_within[r]) / n_retrieved if n_retrieved else 0.0
                 for qi in queries:
                     per_r[qi] = precision

@@ -176,6 +176,14 @@ def first_nonfinite(a):
     return tuple(int(i) for i in bad[0]) if bad.size else None
 
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return _is_int(v) or isinstance(v, (float, np.floating))
+
+
 def check_finite(name, a):
     """Reject NaN/Inf, naming the argument and the first bad (row, column)."""
     idx = first_nonfinite(a)

@@ -16,8 +16,8 @@ from hashlearn import supervised, unsupervised
 from hashlearn.evaluation import BinaryCodes
 from hashlearn.initialization import init_network, itq_init
 from hashlearn.lbfgs import minimize
-from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, Workspace, check_finite, code_layer, forward,
-                               split_flat)
+from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, Workspace, _is_int, _is_real, check_finite,
+                               code_layer, forward, split_flat)
 
 UNSUP_LAMBDAS = (1e-5, 5e-2, 1e-2, 1e-6)
 SUP_LAMBDAS = (1e-3, 5.0, 1.0, 1e-4)
@@ -52,14 +52,6 @@ def default_layer_sizes(mode, n_dims, code_len, hidden=None):
     if mode == UNSUPERVISED:
         sizes.append(int(n_dims))
     return sizes
-
-
-def _is_int(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v):
-    return _is_int(v) or isinstance(v, (float, np.floating))
 
 
 @dataclass

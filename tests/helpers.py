@@ -419,8 +419,8 @@ def write_xvecs(path, x):
     return str(path)
 
 
-# The eager line search and the sorting ground-truth check that lbfgs.minimize
-# and evaluation.validate_ground_truth replaced.
+# The eager line search that lbfgs.minimize replaced, and the two ground-truth
+# checks, sorting and position-array, that evaluation.validate_ground_truth replaced.
 
 def eager_minimize(fun, x0, max_iters, events=None):
     """lbfgs.minimize with the gradient taken at every trial point and tested
@@ -512,6 +512,31 @@ def unique_validate_ground_truth(gt, db_size, n_queries):
         if idx.size and (idx.min() < 0 or idx.max() >= db_size):
             raise ValueError("ground truth for query %d has indices outside [0, %d)" % (qi, db_size))
         if np.unique(idx).size != idx.size:
+            raise ValueError("ground truth for query %d has duplicate indices" % qi)
+
+
+def position_validate_ground_truth(gt, db_size, n_queries):
+    """validate_ground_truth one list at a time, finding duplicates with an array of
+    positions the size of the database rather than by sorting."""
+    if len(gt) != n_queries:
+        raise ValueError("ground truth covers %d queries, expected %d" % (len(gt), n_queries))
+    # a position of each index in the current list; the positions fit unless an index
+    # repeats, and a position that wraps around never reads back as itself
+    last = np.empty(db_size, dtype=np.min_scalar_type(db_size))
+    checked = {}  # each list once; holding it keeps its id from being reused
+    for qi, idx in enumerate(gt):
+        if id(idx) in checked:
+            continue
+        checked[id(idx)] = idx
+        idx = np.asarray(idx).ravel()
+        if not idx.size:
+            continue
+        if idx.dtype.kind not in "iu":
+            raise ValueError("ground truth for query %d holds %s, not integer indices" % (qi, idx.dtype))
+        if idx.min() < 0 or idx.max() >= db_size:
+            raise ValueError("ground truth for query %d has indices outside [0, %d)" % (qi, db_size))
+        last[idx] = positions = np.arange(idx.size)  # a repeated index keeps one of its positions
+        if not np.array_equal(last[idx], positions):
             raise ValueError("ground truth for query %d has duplicate indices" % qi)
 
 

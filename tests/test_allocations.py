@@ -134,3 +134,18 @@ def test_evaluate_peak_stays_below_one_int64_per_database_code():
     report, peak = traced_peak(lambda: evaluate(db, queries, gt))
     assert report.mean_ap > 0.5
     assert peak < 8 * n  # a full argsort of the database is 8 n bytes on its own
+
+
+def test_evaluate_peak_stays_below_the_mmap_threshold():
+    # the train_unsup benchmark's shape: 1000 16-bit codes, 200 queries and each one's 50
+    # nearest codes.  glibc serves a block of 128 KB or more from fresh pages on every call,
+    # so validation must check the lists in chunks, not all of them in one array
+    rng = np.random.default_rng(0)
+    db, queries = (BinaryCodes.from_sign_matrix(np.where(rng.random((16, count)) < 0.5, -1.0, 1.0))
+                   for count in (1000, 200))
+    db_words = db.packed.view(np.uint16)[:, 0]
+    gt = [np.argsort(np.bitwise_count(db_words ^ q), kind="stable")[:50] for q in queries.packed.view(np.uint16)[:, 0]]
+    evaluate(db, queries, gt)
+    report, peak = traced_peak(lambda: evaluate(db, queries, gt))
+    assert report.mean_ap > 0
+    assert peak < 128 * 1024

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hashlearn.evaluation as ev
 from hashlearn.evaluation import (BinaryCodes, euclidean_knn_gt, evaluate, label_gt, mean_average_precision,
                                   precision_at_radius, validate_ground_truth)
 
 from helpers import (brute_force_ap, brute_force_precision, hamming_distance, loop_label_gt, naive_hamming,
-                     unique_validate_ground_truth, unpack_codes)
+                     position_validate_ground_truth, unique_validate_ground_truth, unpack_codes)
 
 
 def codes_from(columns):
@@ -206,6 +207,13 @@ def validation_outcome(validate, gt, db_size, n_queries):
     return None
 
 
+def assert_validation_matches_oracles(gt, db_size, n_queries):
+    """validate_ground_truth reports what the sorting and the position-array checks report."""
+    got = validation_outcome(validate_ground_truth, gt, db_size, n_queries)
+    assert got == validation_outcome(unique_validate_ground_truth, gt, db_size, n_queries)
+    assert got == validation_outcome(position_validate_ground_truth, gt, db_size, n_queries)
+
+
 GT_CASES = [
     ([[0, 5, 9], [], [3]], 10, 3),
     ([np.r_[7, np.arange(100, 900), 7]], 1000, 1),                 # duplicates far apart
@@ -226,22 +234,49 @@ GT_CASES = [
     ([np.array([2, 2])] * 2, 3, 2),                                 # one list object, checked once
     ([np.arange(3)] * 3 + [[0, 0]], 3, 4),                          # a bad list after a shared one
     (np.array([[0, 1], [1, 2], [0, 2], [2, 2]]), 3, 4),             # rows are new views on each pass
+    # several lists: the first query with a fault is reported, whichever kind it is
+    ([[0, 1], [99], [2, 2]], 10, 3),                                # a range fault, then a duplicate
+    ([[0, 1], [3, 3], [99]], 10, 3),                                # a duplicate, then a range fault
+    ([[4], [7, 99, 7]], 10, 2),                                     # both in one list: range wins
+    ([[4], [7, 7, -1]], 10, 2),
+    ([[9, 0], [0, 9], [8, 8]], 10, 3),                              # keys of neighbouring lists do not mix
+    ([[9], [-1, 0]], 10, 2),
+    ([[2], [0.5], [1, 1]], 3, 3),                                   # a float list after a clean one
+    ([[1, 1], [0.5]], 3, 2),                                        # a duplicate before a float list
+    ([[5], np.array([True, False])], 3, 2),                         # a range fault before a bool list
+    ([[], [1, 2], [], [2, 2], []], 3, 5),
+    ([[], []], 0, 2),
+    ([[], [0]], 0, 2),
+    ([np.arange(3), [0, 9]] * 2 + [[1, 1]], 3, 5),
+    (np.array([[0, 1], [1, 5], [2, 2]]), 3, 3),
+    (np.array([[1, 1], [0, 5]], dtype=np.uint8), 3, 2),
+    ([np.array([1, 2**63], dtype=np.uint64)], 3, 1),                # wraps to a negative int64
+    ([np.array([1, 2**64 - 1], dtype=np.uint64), [0, 0]], 3, 2),
+    ([[0, 0], np.array([2**63 + 1], dtype=np.uint64)], 3, 2),
 ]
 
 
 @pytest.mark.parametrize("gt, db_size, n_queries", GT_CASES)
 def test_validate_ground_truth_matches_sorting_check(gt, db_size, n_queries):
-    assert validation_outcome(validate_ground_truth, gt, db_size, n_queries) == \
-        validation_outcome(unique_validate_ground_truth, gt, db_size, n_queries)
+    assert_validation_matches_oracles(gt, db_size, n_queries)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.integers(-1, 12), max_size=12), min_size=1, max_size=4), st.integers(0, 12),
-       st.sampled_from(["int64", "int32", "uint16", "float64"]))
-def test_validate_ground_truth_matches_sorting_check_on_random_lists(lists, db_size, dtype):
-    gt = [np.array([v for v in idx if v >= 0 or dtype != "uint16"], dtype=dtype) for idx in lists]
-    assert validation_outcome(validate_ground_truth, gt, db_size, len(gt)) == \
-        validation_outcome(unique_validate_ground_truth, gt, db_size, len(gt))
+@given(st.lists(st.lists(st.integers(-1, 12), max_size=12), min_size=1, max_size=6), st.integers(0, 12),
+       st.sampled_from(["int64", "int32", "uint16", "uint64", "float64", "bool"]), st.sampled_from([1, 5, 4096]),
+       st.booleans())
+def test_validate_ground_truth_matches_sorting_check_on_random_lists(lists, db_size, dtype, chunk, shared):
+    # small chunks make the lists cross chunk boundaries, and a list can exceed one alone
+    gt = [np.array([v for v in idx if v >= 0 or dtype[0] != "u"], dtype=dtype) if i % 2 else idx
+          for i, idx in enumerate(lists)]
+    if shared:
+        gt = gt + gt[::-1]
+    ev_chunk = ev._CHECK_CHUNK
+    try:
+        ev._CHECK_CHUNK = chunk
+        assert_validation_matches_oracles(gt, db_size, len(gt))
+    finally:
+        ev._CHECK_CHUNK = ev_chunk
 
 
 def test_map_perfect_ranking():

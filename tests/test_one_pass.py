@@ -43,9 +43,9 @@ def test_one_pass_bit_identical_to_separate_loops(monkeypatch):
     paths = collections.Counter()  # which ranking each query's AP came from
     ranked_prefix = ev._ranked_prefix
 
-    def counted(d, cut, n_cut, stop, inside):
+    def counted(d, inside, n_cut, stop):
         paths["full sort" if n_cut * ev._CUT_SHARE > d.size else "candidates"] += 1
-        return ranked_prefix(d, cut, n_cut, stop, inside)
+        return ranked_prefix(d, inside, n_cut, stop)
     monkeypatch.setattr(ev, "_ranked_prefix", counted)
     cuts = collections.Counter()  # where top_k's distance falls against the farthest relevant one
 
@@ -115,6 +115,30 @@ def test_repeated_codes_rank_once_per_code(seed, monkeypatch):
     assert evaluate(db, q, rows, top_k=9) == separate_evaluate(db, q, rows, top_k=9)
 
 
+def test_top_k_cut_inside_a_run_of_equal_distances(monkeypatch):
+    # the codes sit in runs at distances 1, 2 and 3 from the query, and the farthest
+    # relevant code is at 3; the ranking's cut must be the smallest distance that top_k
+    # codes are at or inside, as the cumulative histogram of the distances gives it
+    dist = np.array([2, 1, 3, 1, 2, 3, 1, 2, 3, 2])
+    n, code_len = dist.size, 8
+    db = BinaryCodes.from_sign_matrix(np.where(np.arange(code_len)[:, None] < dist, -1.0, 1.0))
+    q = BinaryCodes.from_sign_matrix(np.ones((code_len, 1)))
+    gt = [np.array([4, 2])]
+    seen = []
+    ranked_prefix = ev._ranked_prefix
+
+    def recorded(d, inside, n_cut, stop):
+        seen.append((int(d[inside].max()), int(np.count_nonzero(inside)), n_cut))
+        return ranked_prefix(d, inside, n_cut, stop)
+    monkeypatch.setattr(ev, "_ranked_prefix", recorded)
+    n_within = np.cumsum(np.bincount(dist, minlength=code_len + 1))
+    for top_k in (1, 2, 3, 5, 7, n - 1, n, n + 1, 3 * n):
+        seen.clear()
+        assert evaluate(db, q, gt, top_k=top_k) == separate_evaluate(db, q, gt, top_k=top_k)
+        cut = min(3, int(np.searchsorted(n_within, top_k)))
+        assert seen == [(cut, n_within[cut], n_within[cut])]
+
+
 @pytest.mark.parametrize("code_len", [1, 7, 8, 63, 64, 65, 255, 256, 300])
 def test_distances_match_popcount_table(code_len, monkeypatch):
     db, q, _ = random_case(code_len, code_len, 30, 3)
@@ -129,9 +153,8 @@ def test_distances_match_popcount_table(code_len, monkeypatch):
         distances = ev._hamming_scan(db_words, code_len)
         for row, q_row in zip(q.packed, q_words):
             want = table_distances_to_all(row, db)
-            d, hist = distances(q_row)
+            d = distances(q_row)
             assert np.array_equal(d, want)
-            assert np.array_equal(hist, np.bincount(want, minlength=code_len + 1))
             assert [hamming_distance(row, other, code_len) for other in db.packed] == want.tolist()
         # uint8 sums (radix sort) up to 255 bits, wider beyond
         assert d.dtype == (np.uint8 if code_len <= 255 else np.uint16)

@@ -191,8 +191,9 @@ def test_b_step_respects_code_layer_activations_from_forward():
 
 def test_validation_errors():
     params, x, b, hyper, rng = make_instance(40)
-    with pytest.raises(ValueError):
-        UnsupHyper(-1.0, 0.0, 0.0, 0.0, 3, 4).validate()
+    for bad in (-1.0, np.nan, np.inf, "x", None, [1], True, np.True_, 1j):
+        with pytest.raises(ValueError, match="lambda1"):
+            UnsupHyper(bad, 0.0, 0.0, 0.0, 3, 4).validate()
     with pytest.raises(ValueError):
         UnsupHyper(0.0, 0.0, 0.0, 0.0, 0, 4).validate()
     with pytest.raises(ValueError):
