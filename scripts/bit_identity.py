@@ -4,8 +4,10 @@ A change that should leave results bit-identical must leave this digest as it
 is.  It covers both training modes at seeds 0-2 with input centring on and off
 (codes, loss traces, L-BFGS histories, statuses and weights), and the files of
 one CLI run of train -> encode -> gt -> eval, with Euclidean ground truth from
-fvecs files and label ground truth from CSV files with a label column.  The digest depends on the BLAS
-and the machine, so compare it only between checkouts run on one machine:
+fvecs files and from bvecs files whose database repeats points, so that distances
+tie exactly across the k-th neighbour, and label ground truth from CSV files with
+a label column.  The digest depends on the BLAS and the machine, so compare it
+only between checkouts run on one machine:
 
     PYTHONPATH=src python scripts/bit_identity.py
     PYTHONPATH=/other/checkout/src python scripts/bit_identity.py
@@ -56,8 +58,9 @@ def train_digest(mode, seed, center):
     return h.hexdigest()
 
 
-def _write_fvecs(path, x):
-    records = np.empty(x.shape[1], dtype=[("dim", "<i4"), ("v", "<f4", (x.shape[0],))])
+def _write_xvecs(path, x, element="<f4"):
+    """An fvecs file, or a bvecs file for element "u1"."""
+    records = np.empty(x.shape[1], dtype=[("dim", "<i4"), ("v", element, (x.shape[0],))])
     records["dim"] = x.shape[0]
     records["v"] = x.T
     records.tofile(path)
@@ -83,9 +86,13 @@ def cli_digest():
     with tempfile.TemporaryDirectory() as tmp:
         def path(name):
             return os.path.join(tmp, name)
-        train, db, queries = (_write_fvecs(path(name), part) for name, part in
+        train, db, queries = (_write_xvecs(path(name), part) for name, part in
                               (("train.fvecs", x[:, :400]), ("db.fvecs", x[:, 300:1200]),
                                ("queries.fvecs", x[:, 1200:])))
+        # 900 draws from 60 points: each query's nearest points repeat about 15 times
+        levels = np.rint((x - x.min()) * (255 / (x.max() - x.min())))
+        db_bvecs = _write_xvecs(path("db.bvecs"), levels[:, np.random.default_rng(7).integers(0, 60, 900)], "u1")
+        queries_bvecs = _write_xvecs(path("queries.bvecs"), levels[:, 1200:], "u1")
         db_csv = _write_csv(path("db.csv"), x[:, 300:1200], labels[300:1200])
         queries_csv = _write_csv(path("queries.csv"), x[:, 1200:], labels[1200:])
         steps = [
@@ -94,6 +101,7 @@ def cli_digest():
             ["encode", "--model", path("model.dhnn"), "--data", db, "--out", path("db.dhcb")],
             ["encode", "--model", path("model.dhnn"), "--data", queries, "--out", path("queries.dhcb")],
             ["gt", "--data", db, "--queries", queries, "--gt-k", "20", "--out", path("gt.bin")],
+            ["gt", "--data", db_bvecs, "--queries", queries_bvecs, "--gt-k", "20", "--out", path("bvecs_gt.bin")],
             ["eval", "--db", path("db.dhcb"), "--queries", path("queries.dhcb"), "--gt", path("gt.bin"),
              "--report", path("eval.json")],
             ["gt", "--method", "label", "--data", db_csv, "--labels", "last", "--queries", queries_csv,
@@ -106,7 +114,8 @@ def cli_digest():
                 if cli.main(argv) != 0:
                     raise SystemExit("hashlearn %s failed" % argv[0])
         h = hashlib.sha256()
-        for name in ("model.dhnn", "model.dhcb", "db.dhcb", "queries.dhcb", "gt.bin", "label_gt.bin"):
+        for name in ("model.dhnn", "model.dhcb", "db.dhcb", "queries.dhcb", "gt.bin", "bvecs_gt.bin",
+                     "label_gt.bin"):
             with open(path(name), "rb") as f:
                 h.update(f.read())
         h.update(_json_without(path("model.json"), ("config", "outputs", "timing")))

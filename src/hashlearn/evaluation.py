@@ -124,17 +124,22 @@ def _shifted_float32(a, shift):
     return out, np.einsum("ij,ij->j", out, out, dtype=np.float64)
 
 
-def _certified_block(database, shifted, sq_norms, block, shift, k, n_cand):
-    """k nearest columns of each query column in block, or None where the certificate fails.
+def _candidates(g, bound, k):
+    """The columns whose g is at most the k-th smallest g plus 2 * bound, in index order."""
+    return np.flatnonzero(g <= np.partition(g, k - 1)[k - 1] + 2 * bound)
+
+
+def _certified_block(database, shifted, sq_norms, radius, block, shift, k, n_cand):
+    """k nearest columns of each query column in block, or None where the scan must rank it.
 
     Distances do not change under translation, so the candidates come from x - s and
-    q - s rounded to float32 (`shifted` and `sq_norms` from _shifted_float32 of the
-    database).  One float32 GEMM of -2 (q - s) against `shifted`, plus the norms, gives
-    g = ||x - s||^2 - 2 (q - s)^T (x - s); ||q - s||^2 is added to the threshold instead.
-    The columns below each query's (n_cand + 1)-th smallest g are re-ranked by float64
-    differences of the original values, as _scan_knn ranks them.
+    q - s rounded to float32: `shifted` is the database's from _shifted_float32, `sq_norms`
+    its squared column norms in float32 and `radius` its largest column norm.  One float32
+    GEMM of -2 (q - s) against `shifted`, plus the norms, gives
+    g = ||x - s||^2 - 2 (q - s)^T (x - s) for each column x; ||q - s||^2 is the same for
+    every column and is left out.
 
-    Certificate.  Let u = eps / 2 be the float32 unit roundoff, eta the smallest float32
+    Bound.  Let u = eps / 2 be the float32 unit roundoff, eta the smallest float32
     subnormal and r = max ||x - s|| + ||q - s||, from the rounded columns' float64 norms.
     Up to factors 1 + O(u), g + ||q - s||^2 differs from the exact distance by at most
       - 3 u r^2 + 2 eta from rounding x - s and q - s to float32;
@@ -142,19 +147,24 @@ def _certified_block(database, shifted, sq_norms, block, shift, k, n_cand):
         FMA (|2 (q - s)^T (x - s)| <= r^2 / 2 and gamma_D = D u / (1 - D u));
       - 2 u r^2 + eta from rounding the norms to float32 and adding them to the GEMM;
     and the float64 norms, the scan's own sums and the threshold arithmetic add less
-    than u r^2.  For D <= 2^22, gamma_D <= 2 D u, and the total is below
-    (D + 8)(eps r^2 + eta).  So when the k-th re-ranked distance is below the smallest
-    excluded g + ||q - s||^2 by that bound, no excluded column ranks among the first k.
-    No float32 value overflows while r^2 < max / 2.  Beyond that, which includes a
-    column or query whose float32 cast overflowed (r = inf), the query fails.
+    than u r^2.  For D <= 2^22, gamma_D <= 2 D u, so with beta = (D + 8)(eps r^2 + eta)
+      |scan distance of x - (g + ||q - s||^2)| <= beta   for every column x.
+    Let T be the k-th smallest g.  A column with g > T + 2 beta then has a scan distance
+    above T + beta + ||q - s||^2, which is at least the scan distance of each of the k or
+    more columns with g <= T, so it is not among the scan's first k.  The candidates, the
+    columns with g <= T + 2 beta, therefore hold the scan's first k, and re-ranked by the
+    scan's own float64 differences with a stable sort they come out in the scan's order.
+    A query goes to the scan instead when it has more than n_cand candidates (ties, or a
+    bound loose against the data's spread), or when r^2 >= max / 2, where a float32 value
+    may overflow; that includes a column or query whose float32 cast overflowed (r = inf).
     """
     dim = database.shape[0]
     scaled, q_sq = _shifted_float32(block, shift)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled *= -2.0
         approx = scaled.T @ shifted
-        approx += sq_norms.astype(np.float32)
-    reach = (np.sqrt(sq_norms.max()) + np.sqrt(q_sq)) ** 2
+        approx += sq_norms
+    reach = (radius + np.sqrt(q_sq)) ** 2
     bounds = (dim + 8) * (_F32.eps * reach + _F32.smallest_subnormal)
     # np.sum adds rows in sequence on row-major data but pairwise down each column on
     # column-major data; database[:, cand] copies only the candidates (take() would copy a
@@ -162,16 +172,12 @@ def _certified_block(database, shifted, sq_norms, block, shift, k, n_cand):
     # memory order, so their distances are bit-identical to the scan's
     layout = "F" if abs(database.strides[0]) < abs(database.strides[1]) else "C"
     out = []
-    for q, g, q_norm, bound, fits in zip(np.asarray(block, dtype=np.float64).T, approx, q_sq, bounds,
-                                         reach < _F32.max / 2):
-        if not fits:
+    for q, g, bound, fits in zip(np.asarray(block, dtype=np.float64).T, approx, bounds, reach < _F32.max / 2):
+        if fits and (cand := _candidates(g, bound, k)).size <= n_cand:
+            d = np.sum(np.subtract(database[:, cand], q[:, None], order=layout) ** 2, axis=0)
+            out.append(cand[np.argsort(d, kind="stable")[:k]])
+        else:
             out.append(None)
-            continue
-        edge = np.partition(g, n_cand)[n_cand]  # no excluded column is below it
-        cand = np.flatnonzero(g < edge)
-        d = np.sum(np.subtract(database[:, cand], q[:, None], order=layout) ** 2, axis=0)
-        order = np.argsort(d, kind="stable")[:k]
-        out.append(cand[order] if order.size == k and d[order[-1]] < edge + q_norm - bound else None)
     return out
 
 
@@ -183,9 +189,11 @@ def euclidean_knn_gt(database, queries, k):
     float32, uint8, ...); no float64 copy of the database is made.  Candidates
     come from one float32 GEMM per block of D // 2 queries, on the database and
     queries shifted by the database mean, and are ranked exactly in float64
-    from the original values.  A query whose ranking the float32 rounding bound
-    cannot certify falls back to the exact float64 scan, so the result is
-    always the scan's.
+    from the original values: only the columns that the float32 rounding bound
+    cannot rule out, about k per query on well-separated data.  The result is
+    always the exact float64 scan's, and the scan itself still ranks a query
+    that has more than 2k + 16 such columns, or whose shifted values may
+    overflow float32, and every query when 2k + 16 >= n or D > 2^22.
     """
     database = np.asarray(database)
     queries = np.asarray(queries)
@@ -197,17 +205,19 @@ def euclidean_knn_gt(database, queries, k):
     if not 1 <= k <= n:
         raise ValueError("k=%d out of range for %d database items" % (k, n))
     n_cand = 2 * k + 16
-    if n_cand >= n or dim > 2**22:  # the certificate's bound needs D <= 2^22
+    if n_cand >= n or dim > 2**22:  # the rounding bound needs D <= 2^22
         return [_scan_knn(database, q, k) for q in queries.T]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = database.mean(axis=1, dtype=np.float64)
     # any finite float32 shift keeps the result; the mean keeps rounding to the data's spread
     shift = np.where(np.abs(mean) < _F32.max, mean, 0.0).astype(np.float32)
     shifted, sq_norms = _shifted_float32(database, shift)
+    with np.errstate(over="ignore"):
+        radius, sq_norms = np.sqrt(sq_norms.max()), sq_norms.astype(np.float32)
     step = max(1, dim // 2)  # a (step, n) float32 block: a quarter of the scan's (D, n) temporary
     out = []
     for start in range(0, queries.shape[1], step):
-        out += _certified_block(database, shifted, sq_norms, queries[:, start:start + step], shift, k, n_cand)
+        out += _certified_block(database, shifted, sq_norms, radius, queries[:, start:start + step], shift, k, n_cand)
     return [_scan_knn(database, q, k) if idx is None else idx for q, idx in zip(queries.T, out)]
 
 

@@ -348,7 +348,7 @@ def separate_evaluate(db_codes, query_codes, gt, radii=(2, 3, 4), top_k=None):
 
 
 # Oracle for the Euclidean ground truth: the per-query exact scan that the
-# GEMM candidates and rounding certificate of euclidean_knn_gt replaced.
+# GEMM candidates and float32 rounding bound of euclidean_knn_gt replaced.
 
 def loop_knn_gt(database, queries, k):
     """k nearest database columns per query column, ties toward the lower index."""

@@ -1,5 +1,5 @@
-"""Differential tests: euclidean_knn_gt's GEMM candidates, exact re-rank and
-rounding certificate against the per-query exact scan it replaced."""
+"""Differential tests: euclidean_knn_gt's GEMM candidates, float32 rounding bound and
+exact re-rank against the per-query exact scan it replaced."""
 
 import tracemalloc
 
@@ -56,10 +56,13 @@ def knn_case(seed, kind, dim, n, n_q, pool, fortran, dtype=np.float64):
     return layout(database, dtype=dtype), layout(queries, dtype=dtype)
 
 
-@given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(KINDS), dim=st.integers(1, 20),
-       n=st.integers(1, 300), n_q=st.integers(1, 12), pool_frac=st.floats(0.02, 1.0),
-       k_frac=st.one_of(st.just(1.0), st.floats(0.0, 0.2)), fortran=st.booleans(),
-       dtype=st.sampled_from([np.float64, np.float32, np.uint8]))
+CASES = dict(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(KINDS), dim=st.integers(1, 20),
+             n=st.integers(1, 300), n_q=st.integers(1, 12), pool_frac=st.floats(0.02, 1.0),
+             k_frac=st.one_of(st.just(1.0), st.floats(0.0, 0.2)), fortran=st.booleans(),
+             dtype=st.sampled_from([np.float64, np.float32, np.uint8]))
+
+
+@given(**CASES)
 @settings(max_examples=1200, deadline=None)
 def test_knn_equals_exact_scan(seed, kind, dim, n, n_q, pool_frac, k_frac, fortran, dtype):
     database, queries = knn_case(seed, kind, dim, n, n_q, max(1, int(pool_frac * n)), fortran, dtype)
@@ -84,10 +87,39 @@ def counting_scan(monkeypatch):
     return calls
 
 
+def recording_candidates(monkeypatch):
+    """The candidate columns of each query that _certified_block re-ranks or sends to the scan."""
+    seen = []
+    candidates = ev._candidates
+
+    def recorded(g, bound, k):
+        seen.append(candidates(g, bound, k))
+        return seen[-1]
+
+    monkeypatch.setattr(ev, "_candidates", recorded)
+    return seen
+
+
+@given(**CASES)
+@settings(max_examples=600, deadline=None)
+def test_candidates_hold_the_scans_first_k(seed, kind, dim, n, n_q, pool_frac, k_frac, fortran, dtype):
+    """Every column the rounding bound keeps out ranks after the scan's first k, whether the
+    candidates are re-ranked or, beyond 2k + 16 of them, sent to the scan."""
+    database, queries = knn_case(seed, kind, dim, n, n_q, max(1, int(pool_frac * n)), fortran, dtype)
+    k = max(1, int(k_frac * n))
+    with pytest.MonkeyPatch.context() as mp:
+        seen = recording_candidates(mp)
+        euclidean_knn_gt(database, queries, k)
+    want = loop_knn_gt(database, queries, k)
+    assert len(seen) == (n_q if 2 * k + 16 < n else 0)  # every knn_case query fits float32
+    for cand, w in zip(seen, want):
+        assert np.isin(w, cand).all()
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_uncertified_queries_fall_back_to_the_scan(monkeypatch, offset):
-    """A tie spanning more columns than the 36 candidates hold fails the certificate, and
-    so does every query once the database spans two unit-spread clusters 2 * offset apart:
+    """A tie spanning more columns than 2k + 16 = 36 sends the query to the scan, and so
+    does every query once the database spans two unit-spread clusters 2 * offset apart:
     no shift centres both, and float32 rounding of the shifted columns swamps the distances."""
     calls = counting_scan(monkeypatch)
     database, queries = knn_case(0, "grid", 3, 400, 10, 27, False)
@@ -100,12 +132,37 @@ def test_uncertified_queries_fall_back_to_the_scan(monkeypatch, offset):
 
 
 def test_separated_points_need_no_fallback(monkeypatch):
+    """Each query re-ranks only the columns the rounding bound cannot rule out: on separated
+    points that is about k, well below the 2k + 16 that send a query to the scan."""
     calls = counting_scan(monkeypatch)
+    seen = recording_candidates(monkeypatch)
     database, queries = knn_case(1, "float", 16, 2000, 40, 2000, False)
     got = euclidean_knn_gt(database, queries, 20)
     assert calls == []
+    assert len(seen) == 40 and sum(cand.size for cand in seen) < 1.2 * 20 * 40
     for g, w in zip(got, loop_knn_gt(database, queries, 20)):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_ties_up_to_2k_plus_16_candidates_are_reranked(monkeypatch, extra):
+    """Three copies of the query, then a run of exact ties at distance 1 across the k-th
+    place: with 2k + 16 candidates in all the query is re-ranked, with one more it goes to
+    the scan.  The far columns are at distance 300 or more, so none is a candidate."""
+    calls = counting_scan(monkeypatch)
+    seen = recording_candidates(monkeypatch)
+    k, n = 10, 400
+    n_cand = 2 * k + 16
+    rng = np.random.default_rng(9)
+    database = rng.integers(10, 13, (3, n)).astype(np.float64)
+    query = np.zeros((3, 1))
+    near = rng.choice(n, n_cand + extra, replace=False)
+    database[:, near[:3]] = 0.0
+    database[:, near[3:]] = [[0.0], [1.0], [0.0]]
+    got = euclidean_knn_gt(database, query, k)
+    assert [cand.size for cand in seen] == [n_cand + extra]
+    assert calls == ([k] if extra else [])
+    assert np.array_equal(got[0], loop_knn_gt(database, query, k)[0])
 
 
 def test_near_ties_rank_as_the_scan_in_every_memory_layout(monkeypatch):
@@ -183,7 +240,7 @@ def test_values_beyond_the_float32_range_rank_as_the_scan(case):
     """Columns whose float32 squared norms overflow, a query whose -2 (q - s) overflows
     float32, and data whose float32 products underflow still give the scan's neighbours;
     float64 holds them all.  At 1e20 the other columns' GEMM terms stay finite, so only
-    the certificate's overflow rule keeps the column next to the query from being
+    the bound's overflow rule keeps the column next to the query from being
     excluded behind an infinite g.  Near ties at 1e-21 have subnormal float32 GEMM terms,
     which only the bound's underflow term covers."""
     database, queries = knn_case(5, "float", 8, 300, 6, 300, False)
@@ -204,13 +261,16 @@ def test_values_beyond_the_float32_range_rank_as_the_scan(case):
 
 def test_offset_float32_clusters_need_no_fallback(monkeypatch):
     """The shift by the database mean keeps float32 rounding proportional to the clusters'
-    spread, not to their common offset of 1000."""
+    spread, not to their common offset of 1000.  The bound is tight enough here that the
+    candidates average under 1.01 k per query; a bound ten times looser gives 1.06 k."""
     calls = counting_scan(monkeypatch)
+    seen = recording_candidates(monkeypatch)
     x, _ = gaussian_clusters(64, 2100, 20, seed=6)
     x = (x + 1000.0).astype(np.float32)
     database, queries = x[:, :2000], x[:, 2000:]
     got = euclidean_knn_gt(database, queries, 20)
     assert calls == []
+    assert len(seen) == 100 and sum(cand.size for cand in seen) < 1.05 * 20 * 100
     for g, w in zip(got, loop_knn_gt(database, queries, 20)):
         assert np.array_equal(g, w)
 
@@ -222,7 +282,7 @@ def test_overflowing_distances_raise():
 
 
 def test_an_overflowing_outlier_beyond_k_still_ranks_as_the_scan(monkeypatch):
-    """The outlier's infinite norm fails every certificate; its infinite distance ranks last."""
+    """The outlier's infinite norm sends every query to the scan; its infinite distance ranks last."""
     calls = counting_scan(monkeypatch)
     database, queries = knn_case(4, "float", 4, 60, 3, 60, False)
     database[:, 17] = 1e200
