@@ -4,10 +4,12 @@ A change that should leave results bit-identical must leave this digest as it
 is.  It covers both training modes at seeds 0-2 with input centring on and off
 (codes, loss traces, L-BFGS histories, statuses and weights), and the files of
 one CLI run of train -> encode -> gt -> eval, with Euclidean ground truth from
-fvecs files and from bvecs files whose database repeats points, so that distances
-tie exactly across the k-th neighbour, and label ground truth from CSV files with
-a label column.  The digest depends on the BLAS and the machine, so compare it
-only between checkouts run on one machine:
+fvecs files and from two bvecs databases that repeat points, so that distances
+tie exactly across the k-th neighbour (the second draws from only 10 points, so
+each tie runs to about 90 columns), label ground truth from CSV files with a
+label column, and mAP capped by --topk on both kinds of ground truth.  The
+digest depends on the BLAS and the machine, so compare it only between
+checkouts run on one machine:
 
     PYTHONPATH=src python scripts/bit_identity.py
     PYTHONPATH=/other/checkout/src python scripts/bit_identity.py
@@ -92,6 +94,8 @@ def cli_digest():
         # 900 draws from 60 points: each query's nearest points repeat about 15 times
         levels = np.rint((x - x.min()) * (255 / (x.max() - x.min())))
         db_bvecs = _write_xvecs(path("db.bvecs"), levels[:, np.random.default_rng(7).integers(0, 60, 900)], "u1")
+        # 900 draws from 10 points: each query's nearest point repeats about 90 times
+        db_ties = _write_xvecs(path("db_ties.bvecs"), levels[:, np.random.default_rng(8).integers(0, 10, 900)], "u1")
         queries_bvecs = _write_xvecs(path("queries.bvecs"), levels[:, 1200:], "u1")
         db_csv = _write_csv(path("db.csv"), x[:, 300:1200], labels[300:1200])
         queries_csv = _write_csv(path("queries.csv"), x[:, 1200:], labels[1200:])
@@ -102,8 +106,11 @@ def cli_digest():
             ["encode", "--model", path("model.dhnn"), "--data", queries, "--out", path("queries.dhcb")],
             ["gt", "--data", db, "--queries", queries, "--gt-k", "20", "--out", path("gt.bin")],
             ["gt", "--data", db_bvecs, "--queries", queries_bvecs, "--gt-k", "20", "--out", path("bvecs_gt.bin")],
+            ["gt", "--data", db_ties, "--queries", queries_bvecs, "--gt-k", "20", "--out", path("ties_gt.bin")],
             ["eval", "--db", path("db.dhcb"), "--queries", path("queries.dhcb"), "--gt", path("gt.bin"),
              "--report", path("eval.json")],
+            ["eval", "--db", path("db.dhcb"), "--queries", path("queries.dhcb"), "--gt", path("gt.bin"),
+             "--topk", "7", "--report", path("topk_eval.json")],
             ["gt", "--method", "label", "--data", db_csv, "--labels", "last", "--queries", queries_csv,
              "--query-labels", "last", "--out", path("label_gt.bin")],
             ["eval", "--db", path("db.dhcb"), "--queries", path("queries.dhcb"), "--gt", path("label_gt.bin"),
@@ -115,11 +122,12 @@ def cli_digest():
                     raise SystemExit("hashlearn %s failed" % argv[0])
         h = hashlib.sha256()
         for name in ("model.dhnn", "model.dhcb", "db.dhcb", "queries.dhcb", "gt.bin", "bvecs_gt.bin",
-                     "label_gt.bin"):
+                     "ties_gt.bin", "label_gt.bin"):
             with open(path(name), "rb") as f:
                 h.update(f.read())
         h.update(_json_without(path("model.json"), ("config", "outputs", "timing")))
         h.update(_json_without(path("eval.json"), ("config",)))
+        h.update(_json_without(path("topk_eval.json"), ("config",)))
         h.update(_json_without(path("label_eval.json"), ("config",)))
     return h.hexdigest()
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hashlearn.evaluation import BinaryCodes
+from hashlearn.evaluation import BinaryCodes, _bytes_per_code
 from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, NetworkParams, first_nonfinite
 
 MODEL_MAGIC = b"DHNN"
@@ -246,7 +246,7 @@ def load_codes(path):
         raise ValueError("%s: unsupported version %d" % (path, version))
     if code_len < 1:
         raise ValueError("%s: code length must be >= 1" % path)
-    bpc = (code_len + 7) // 8
+    bpc = _bytes_per_code(code_len)
     body = np.frombuffer(r.take(bpc * count, "packed codes"), dtype=np.uint8)
     r.done()
     codes = BinaryCodes(code_len, count, body.reshape(count, bpc).copy())

@@ -6,12 +6,13 @@ least-significant first.  Code i occupies ceil(L / 8) bytes and padding bits
 beyond L are zero.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from hashlearn.network import check_finite
+from hashlearn.network import _is_int, check_finite
 
 _F32 = np.finfo(np.float32)
 _BLOCK = 16384  # database codes per XOR block in _hamming_scan: a 128 KB buffer
@@ -102,13 +103,23 @@ def _hamming_scan(words, code_len):
     return distances
 
 
-def _scan_knn(database, q, k):
-    """Exact k nearest columns of one query: every distance by float64 differences, stable sort."""
-    d = np.sum((database - np.asarray(q, dtype=np.float64)[:, None]) ** 2, axis=0)
+def _scan_knn(database, q, k, cand=None):
+    """The k nearest to q of the database columns cand, or of all of them when cand is None,
+    ranked by float64 differences of the original values with a stable sort.
+
+    np.sum adds rows in sequence on row-major data but pairwise down each column on
+    column-major data, so the differences are laid out in the database's memory order:
+    a column's distance is then the same bits whichever columns are ranked with it.
+    database[:, cand] copies only those columns (take() would copy a strided database
+    whole first).
+    """
+    layout = "F" if abs(database.strides[0]) < abs(database.strides[1]) else "C"
+    columns = database if cand is None else database[:, cand]
+    d = np.sum(np.subtract(columns, np.asarray(q, dtype=np.float64)[:, None], order=layout) ** 2, axis=0)
     idx = np.argsort(d, kind="stable")[:k]
-    if not np.isfinite(d[idx[-1]]):
+    if not math.isfinite(d[idx[-1]]):
         raise ValueError("squared distances overflow float64 among the %d nearest columns" % k)
-    return idx.astype(np.int64)
+    return idx if cand is None else cand[idx]
 
 
 def _shifted_float32(a, shift):
@@ -129,8 +140,8 @@ def _candidates(g, bound, k):
     return np.flatnonzero(g <= np.partition(g, k - 1)[k - 1] + 2 * bound)
 
 
-def _certified_block(database, shifted, sq_norms, radius, block, shift, k, n_cand):
-    """k nearest columns of each query column in block, or None where the scan must rank it.
+def _certified_block(database, shifted, sq_norms, radius, block, shift, k):
+    """k nearest columns of each query column in block, as the whole-database scan ranks them.
 
     Distances do not change under translation, so the candidates come from x - s and
     q - s rounded to float32: `shifted` is the database's from _shifted_float32, `sq_norms`
@@ -152,11 +163,10 @@ def _certified_block(database, shifted, sq_norms, radius, block, shift, k, n_can
     Let T be the k-th smallest g.  A column with g > T + 2 beta then has a scan distance
     above T + beta + ||q - s||^2, which is at least the scan distance of each of the k or
     more columns with g <= T, so it is not among the scan's first k.  The candidates, the
-    columns with g <= T + 2 beta, therefore hold the scan's first k, and re-ranked by the
-    scan's own float64 differences with a stable sort they come out in the scan's order.
-    A query goes to the scan instead when it has more than n_cand candidates (ties, or a
-    bound loose against the data's spread), or when r^2 >= max / 2, where a float32 value
-    may overflow; that includes a column or query whose float32 cast overflowed (r = inf).
+    columns with g <= T + 2 beta, therefore hold the scan's first k, and _scan_knn ranks
+    them in the scan's order, however many tie.  Only where r^2 >= max / 2, so that a
+    float32 value may overflow, does _scan_knn rank the whole database instead; that
+    includes a column or query whose float32 cast overflowed (r = inf).
     """
     dim = database.shape[0]
     scaled, q_sq = _shifted_float32(block, shift)
@@ -166,19 +176,8 @@ def _certified_block(database, shifted, sq_norms, radius, block, shift, k, n_can
         approx += sq_norms
     reach = (radius + np.sqrt(q_sq)) ** 2
     bounds = (dim + 8) * (_F32.eps * reach + _F32.smallest_subnormal)
-    # np.sum adds rows in sequence on row-major data but pairwise down each column on
-    # column-major data; database[:, cand] copies only the candidates (take() would copy a
-    # strided database whole first), and their differences are laid out in the database's
-    # memory order, so their distances are bit-identical to the scan's
-    layout = "F" if abs(database.strides[0]) < abs(database.strides[1]) else "C"
-    out = []
-    for q, g, bound, fits in zip(np.asarray(block, dtype=np.float64).T, approx, bounds, reach < _F32.max / 2):
-        if fits and (cand := _candidates(g, bound, k)).size <= n_cand:
-            d = np.sum(np.subtract(database[:, cand], q[:, None], order=layout) ** 2, axis=0)
-            out.append(cand[np.argsort(d, kind="stable")[:k]])
-        else:
-            out.append(None)
-    return out
+    return [_scan_knn(database, q, k, _candidates(g, bound, k) if fits else None)
+            for q, g, bound, fits in zip(block.T, approx, bounds, reach < _F32.max / 2)]
 
 
 def euclidean_knn_gt(database, queries, k):
@@ -190,10 +189,11 @@ def euclidean_knn_gt(database, queries, k):
     come from one float32 GEMM per block of D // 2 queries, on the database and
     queries shifted by the database mean, and are ranked exactly in float64
     from the original values: only the columns that the float32 rounding bound
-    cannot rule out, about k per query on well-separated data.  The result is
-    always the exact float64 scan's, and the scan itself still ranks a query
-    that has more than 2k + 16 such columns, or whose shifted values may
-    overflow float32, and every query when 2k + 16 >= n or D > 2^22.
+    cannot rule out, about k per query on well-separated data and every tied
+    column across the k-th place.  The result is always the exact float64
+    scan's; the scan itself ranks a query only where the bound cannot be formed:
+    when its shifted values may overflow float32, and for every query when
+    D > 2^22.
     """
     database = np.asarray(database)
     queries = np.asarray(queries)
@@ -202,10 +202,11 @@ def euclidean_knn_gt(database, queries, k):
     check_finite("database", database)
     check_finite("queries", queries)
     dim, n = database.shape
+    if not _is_int(k):
+        raise ValueError("k must be an integer, got %r" % (k,))
     if not 1 <= k <= n:
         raise ValueError("k=%d out of range for %d database items" % (k, n))
-    n_cand = 2 * k + 16
-    if n_cand >= n or dim > 2**22:  # the rounding bound needs D <= 2^22
+    if dim > 2**22:  # the rounding bound needs D <= 2^22
         return [_scan_knn(database, q, k) for q in queries.T]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = database.mean(axis=1, dtype=np.float64)
@@ -217,8 +218,8 @@ def euclidean_knn_gt(database, queries, k):
     step = max(1, dim // 2)  # a (step, n) float32 block: a quarter of the scan's (D, n) temporary
     out = []
     for start in range(0, queries.shape[1], step):
-        out += _certified_block(database, shifted, sq_norms, radius, queries[:, start:start + step], shift, k, n_cand)
-    return [_scan_knn(database, q, k) if idx is None else idx for q, idx in zip(queries.T, out)]
+        out += _certified_block(database, shifted, sq_norms, radius, queries[:, start:start + step], shift, k)
+    return out
 
 
 def label_gt(db_labels, query_labels):
@@ -350,28 +351,30 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
     database.  The AP of the stable ranking (ties toward the lower index, capped at top_k)
     comes from the ranks of the relevant items.  Only codes at or inside the cut can rank
     ahead of a relevant one; each code is ranked once, and its cut is the farthest relevant
-    distance of all its lists, lowered by bisection to the smallest distance that top_k
-    codes are at or inside, if top_k is given.  A list whose relevant items are all nearer
-    finds them at the same ranks as in a ranking at its own cut.  When the codes at or
-    inside the cut are at most 1 / _CUT_SHARE of the database, only they are sorted
-    (_ranked_prefix), else the whole database is.  Returns (per_query_ap,
+    distance of all its lists, lowered to the top_k-th smallest distance (the smallest
+    that top_k codes are at or inside) if top_k is given.  A list whose relevant items
+    are all nearer finds them at the same ranks as in a ranking at its own cut.  When the
+    codes at or inside the cut are at most 1 / _CUT_SHARE of the database, only they are
+    sorted (_ranked_prefix), else the whole database is.  Returns (per_query_ap,
     [per_query_precision for each radius]); the AP list is empty unless with_ap.
     """
     db_codes.validate()
     query_codes.validate()
     if db_codes.code_len != query_codes.code_len:
         raise ValueError("database and query codes have different lengths")
-    if top_k is not None and top_k < 1:
-        raise ValueError("top_k must be >= 1 when given")
+    if top_k is not None and not (_is_int(top_k) and top_k >= 1):
+        raise ValueError("top_k must be an integer >= 1 when given, got %r" % (top_k,))
     validate_ground_truth(gt, db_codes.count, query_codes.count)
     code_len, n, n_q = db_codes.code_len, db_codes.count, query_codes.count
     aps, precisions = [0.0] * n_q if with_ap else [], [[0.0] * n_q for _ in radii]
     radii = [min(r, code_len) for r in radii]  # a ball beyond L holds the same codes as at L
     distances = _hamming_scan(_words(db_codes), code_len)
     # buffers every code reuses; inside marks the codes within the last radius counted,
-    # rel the current list's relevant codes
+    # rel the current list's relevant codes, and part takes the distances inside the cut
+    # that the top_k cut is selected from
     inside = np.empty(n, dtype=bool)
     rel = np.zeros(n, dtype=bool)
+    part = None if top_k is None else np.empty(n, dtype=np.min_scalar_type(code_len))
     words = _words(query_codes)
     groups = {}  # each distinct code's bytes -> the queries with that code
     for qi, code in enumerate(words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()):
@@ -395,17 +398,11 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
             n_cut = _n_within(d, cut, inside)
             # the cut is a code's distance, so with n_cut == top_k no smaller radius holds top_k codes
             if top_k is not None and n_cut > top_k:
-                # bisect for the smallest radius with top_k codes within it
-                lo, masked = 0, cut
-                while lo < cut:
-                    mid = (lo + cut) // 2
-                    masked, n_mid = mid, _n_within(d, mid, inside)
-                    if n_mid >= top_k:
-                        cut, n_cut = mid, n_mid
-                    else:
-                        lo = mid + 1
-                if masked != cut:
-                    _n_within(d, cut, inside)
+                # the top_k-th smallest distance, the smallest radius with top_k codes within it,
+                # is among the n_cut distances inside the cut
+                np.compress(inside, d, out=part[:n_cut]).partition(top_k - 1)
+                cut = int(part[top_k - 1])
+                n_cut = _n_within(d, cut, inside)
             order = _ranked_prefix(d, inside, n_cut, n_cut if top_k is None else min(n_cut, top_k))
         for gt_q, queries, rel_within in lists:
             if with_ap and gt_q.size:

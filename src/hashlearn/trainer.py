@@ -13,11 +13,11 @@ from itertools import accumulate
 import numpy as np
 
 from hashlearn import supervised, unsupervised
-from hashlearn.evaluation import BinaryCodes
+from hashlearn.evaluation import BinaryCodes, _bytes_per_code
 from hashlearn.initialization import init_network, itq_init
 from hashlearn.lbfgs import minimize
-from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, Workspace, _is_int, _is_real, check_finite,
-                               code_layer, forward, split_flat)
+from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, Workspace, _is_int, check_finite,
+                               check_penalties, code_layer, forward, split_flat)
 
 UNSUP_LAMBDAS = (1e-5, 5e-2, 1e-2, 1e-6)
 SUP_LAMBDAS = (1e-3, 5.0, 1.0, 1e-4)
@@ -105,10 +105,7 @@ class TrainConfig:
         if not isinstance(self.center_inputs, (bool, np.bool_)):
             raise ValueError("center_inputs must be True or False, got %r" % (self.center_inputs,))
         code_layer(self.mode, len(sizes))  # rejects an unknown mode or too shallow a network
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            v = getattr(self, name)
-            if not _is_real(v) or not np.isfinite(v) or v < 0:
-                raise ValueError("%s must be a finite number >= 0, got %r" % (name, v))
+        check_penalties(self)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.lbfgs_initial < 0 or self.lbfgs_subsequent < 0:
@@ -258,7 +255,7 @@ def encode(params, x_new):
     if x_new.ndim != 2:
         raise ValueError("x_new has shape %s, expected (%d, m)" % (x_new.shape, params.layer_sizes[0]))
     code_len, n = params.layer_sizes[layer - 1], x_new.shape[1]
-    packed = np.empty((n, -(-code_len // 8)), dtype=np.uint8)
+    packed = np.empty((n, _bytes_per_code(code_len)), dtype=np.uint8)
     for start in range(0, max(n, 1), _ENCODE_BLOCK):  # an empty input still passes forward()'s checks
         h = forward(params, x_new[:, start:start + _ENCODE_BLOCK], upto=layer)[-1]
         packed[start:start + _ENCODE_BLOCK] = np.packbits(h.T >= 0, axis=1, bitorder="little")

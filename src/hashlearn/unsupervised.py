@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hashlearn.linalg import frobenius_sq
-from hashlearn.network import UNSUPERVISED, Workspace, _forward, _is_real, code_layer, split_flat, through_activation
+from hashlearn.network import (UNSUPERVISED, Workspace, _forward, check_penalties, code_layer, split_flat,
+                               through_activation)
 
 _MAX_SWEEPS = 10  # row sweeps of b_step before it stops even if a row still changes
 
@@ -29,10 +30,7 @@ class UnsupHyper:
     n_samples: int
 
     def validate(self):
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            v = getattr(self, name)
-            if not _is_real(v) or not np.isfinite(v) or v < 0:
-                raise ValueError("%s must be a finite number >= 0, got %r" % (name, v))
+        check_penalties(self)
         if self.code_len < 1:
             raise ValueError("code_len must be >= 1")
         if self.n_samples < 1:

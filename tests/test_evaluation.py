@@ -139,6 +139,9 @@ def test_knn_validation():
         euclidean_knn_gt(db, np.zeros((3, 1)), 6)
     with pytest.raises(ValueError):
         euclidean_knn_gt(db, np.zeros((3, 1)), 0)
+    for k in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            euclidean_knn_gt(db, np.zeros((3, 1)), k)
 
 
 def test_knn_rejects_non_finite_database():
@@ -371,6 +374,16 @@ def test_map_rejects_mismatched_code_lengths():
         mean_average_precision(db, codes_from([[1, 1, 1]]), [np.array([0])], top_k=0)
     with pytest.raises(ValueError):
         precision_at_radius(db, codes_from([[1, 1, 1]]), [np.array([0])], radius=-1)
+
+
+@pytest.mark.parametrize("top_k", [2.5, 5.0, True, np.float64(3)])
+def test_top_k_must_be_an_integer(top_k):
+    db = codes_from([[1, 1, 1], [1, -1, 1]])
+    gt = [np.array([0])]
+    with pytest.raises(ValueError, match="top_k must be an integer"):
+        mean_average_precision(db, db, gt + gt, top_k=top_k)
+    with pytest.raises(ValueError, match="top_k must be an integer"):
+        evaluate(db, db, gt + gt, top_k=top_k)
 
 
 def test_evaluate_report_structure():

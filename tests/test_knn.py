@@ -66,7 +66,7 @@ CASES = dict(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(KINDS), dim=st
 @settings(max_examples=1200, deadline=None)
 def test_knn_equals_exact_scan(seed, kind, dim, n, n_q, pool_frac, k_frac, fortran, dtype):
     database, queries = knn_case(seed, kind, dim, n, n_q, max(1, int(pool_frac * n)), fortran, dtype)
-    k = max(1, int(k_frac * n))  # k = n, and k small enough that 2k + 16 < n
+    k = max(1, int(k_frac * n))  # k = n, and k up to a fifth of n
     got = euclidean_knn_gt(database, queries, k)
     want = loop_knn_gt(database, queries, k)
     assert len(got) == len(want) == n_q
@@ -75,93 +75,89 @@ def test_knn_equals_exact_scan(seed, kind, dim, n, n_q, pool_frac, k_frac, fortr
         assert np.array_equal(g, w)
 
 
-def counting_scan(monkeypatch):
-    calls = []
+def recording_scans(monkeypatch):
+    """The columns _scan_knn ranks for each query, in query order: the query's candidates,
+    or None where it ranks the whole database."""
+    seen = []
     scan = ev._scan_knn
 
-    def counted(database, q, k):
-        calls.append(k)
-        return scan(database, q, k)
+    def recorded(database, q, k, cand=None):
+        seen.append(cand)
+        return scan(database, q, k, cand)
 
-    monkeypatch.setattr(ev, "_scan_knn", counted)
-    return calls
-
-
-def recording_candidates(monkeypatch):
-    """The candidate columns of each query that _certified_block re-ranks or sends to the scan."""
-    seen = []
-    candidates = ev._candidates
-
-    def recorded(g, bound, k):
-        seen.append(candidates(g, bound, k))
-        return seen[-1]
-
-    monkeypatch.setattr(ev, "_candidates", recorded)
+    monkeypatch.setattr(ev, "_scan_knn", recorded)
     return seen
+
+
+def fallbacks(seen):
+    return sum(cand is None for cand in seen)
 
 
 @given(**CASES)
 @settings(max_examples=600, deadline=None)
 def test_candidates_hold_the_scans_first_k(seed, kind, dim, n, n_q, pool_frac, k_frac, fortran, dtype):
-    """Every column the rounding bound keeps out ranks after the scan's first k, whether the
-    candidates are re-ranked or, beyond 2k + 16 of them, sent to the scan."""
+    """Every column the rounding bound keeps out ranks after the scan's first k, and every
+    query is re-ranked from its candidates, however many there are."""
     database, queries = knn_case(seed, kind, dim, n, n_q, max(1, int(pool_frac * n)), fortran, dtype)
     k = max(1, int(k_frac * n))
     with pytest.MonkeyPatch.context() as mp:
-        seen = recording_candidates(mp)
+        seen = recording_scans(mp)
         euclidean_knn_gt(database, queries, k)
     want = loop_knn_gt(database, queries, k)
-    assert len(seen) == (n_q if 2 * k + 16 < n else 0)  # every knn_case query fits float32
+    assert len(seen) == n_q and fallbacks(seen) == 0  # every knn_case query fits float32
     for cand, w in zip(seen, want):
         assert np.isin(w, cand).all()
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])
-def test_uncertified_queries_fall_back_to_the_scan(monkeypatch, offset):
-    """A tie spanning more columns than 2k + 16 = 36 sends the query to the scan, and so
-    does every query once the database spans two unit-spread clusters 2 * offset apart:
-    no shift centres both, and float32 rounding of the shifted columns swamps the distances."""
-    calls = counting_scan(monkeypatch)
+def test_long_ties_and_swamped_bounds_are_reranked_as_the_scan(monkeypatch, offset):
+    """100 copies of the first query tie across its k-th place, and once the database
+    spans two unit-spread clusters 2 * offset apart, no shift centres both and float32
+    rounding of the shifted columns swamps the distances: the bound then keeps the whole
+    of the query's own cluster.  Either way every query is re-ranked from its candidates
+    rather than the whole database, and ranks as the scan."""
+    seen = recording_scans(monkeypatch)
     database, queries = knn_case(0, "grid", 3, 400, 10, 27, False)
     database[:, :100] = queries[:, :1]  # 100 copies of the first query
     database += offset * np.where(np.arange(400) % 2, -1.0, 1.0)
     got = euclidean_knn_gt(database, queries + offset, 10)
-    assert len(calls) >= (10 if offset else 1)
+    assert fallbacks(seen) == 0
+    assert seen[0].size >= 100
+    if offset:
+        assert all(np.array_equal(cand, np.arange(0, 400, 2)) for cand in seen)
     for g, w in zip(got, loop_knn_gt(database, queries + offset, 10)):
         assert np.array_equal(g, w)
 
 
 def test_separated_points_need_no_fallback(monkeypatch):
     """Each query re-ranks only the columns the rounding bound cannot rule out: on separated
-    points that is about k, well below the 2k + 16 that send a query to the scan."""
-    calls = counting_scan(monkeypatch)
-    seen = recording_candidates(monkeypatch)
+    points that is about k."""
+    seen = recording_scans(monkeypatch)
     database, queries = knn_case(1, "float", 16, 2000, 40, 2000, False)
     got = euclidean_knn_gt(database, queries, 20)
-    assert calls == []
+    assert fallbacks(seen) == 0
     assert len(seen) == 40 and sum(cand.size for cand in seen) < 1.2 * 20 * 40
     for g, w in zip(got, loop_knn_gt(database, queries, 20)):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("extra", [0, 1])
-def test_ties_up_to_2k_plus_16_candidates_are_reranked(monkeypatch, extra):
+@pytest.mark.parametrize("n_tied", [2 * 10 + 17, 397])
+def test_ties_past_2k_plus_16_candidates_are_reranked(monkeypatch, n_tied):
     """Three copies of the query, then a run of exact ties at distance 1 across the k-th
-    place: with 2k + 16 candidates in all the query is re-ranked, with one more it goes to
-    the scan.  The far columns are at distance 300 or more, so none is a candidate."""
-    calls = counting_scan(monkeypatch)
-    seen = recording_candidates(monkeypatch)
+    place, of 2k + 17 columns or of all the others: the query is re-ranked from exactly
+    those candidates, not sent to the scan.  Any far columns are at distance 300 or more,
+    so none is a candidate."""
+    seen = recording_scans(monkeypatch)
     k, n = 10, 400
-    n_cand = 2 * k + 16
     rng = np.random.default_rng(9)
     database = rng.integers(10, 13, (3, n)).astype(np.float64)
     query = np.zeros((3, 1))
-    near = rng.choice(n, n_cand + extra, replace=False)
+    near = rng.choice(n, 3 + n_tied, replace=False)
     database[:, near[:3]] = 0.0
     database[:, near[3:]] = [[0.0], [1.0], [0.0]]
     got = euclidean_knn_gt(database, query, k)
-    assert [cand.size for cand in seen] == [n_cand + extra]
-    assert calls == ([k] if extra else [])
+    assert fallbacks(seen) == 0
+    assert np.array_equal(seen[0], np.sort(near))
     assert np.array_equal(got[0], loop_knn_gt(database, query, k)[0])
 
 
@@ -171,7 +167,7 @@ def test_near_ties_rank_as_the_scan_in_every_memory_layout(monkeypatch):
     element type, or near-tied distances that differ in the last bits change places.  The
     second to last is a column slice of a wider row-major array, and the last the (D, n)
     view of an fvecs file that load_xvecs returns."""
-    calls = counting_scan(monkeypatch)
+    seen = recording_scans(monkeypatch)
     base = permuted_points(np.random.default_rng(2), 64, 400)
     queries = np.full((64, 3), 0.25)
     records = np.zeros((400, 65), dtype=np.float32)
@@ -184,7 +180,7 @@ def test_near_ties_rank_as_the_scan_in_every_memory_layout(monkeypatch):
     for database in layouts:
         for g, w in zip(euclidean_knn_gt(database, queries, 20), loop_knn_gt(database, queries, 20)):
             assert np.array_equal(g, w)
-    assert calls == []  # the near vector's ~40 permutations fit the 56 candidates
+    assert fallbacks(seen) == 0
 
 
 def test_peak_memory_within_the_scan():
@@ -236,13 +232,15 @@ def test_column_slice_is_not_copied_whole():
 
 @pytest.mark.parametrize("case", ["column_at_1e30", "column_at_1e20", "query_at_2.5e38", "scale_1e-30",
                                   "near_ties_at_1e-21"])
-def test_values_beyond_the_float32_range_rank_as_the_scan(case):
+def test_values_beyond_the_float32_range_rank_as_the_scan(monkeypatch, case):
     """Columns whose float32 squared norms overflow, a query whose -2 (q - s) overflows
     float32, and data whose float32 products underflow still give the scan's neighbours;
     float64 holds them all.  At 1e20 the other columns' GEMM terms stay finite, so only
     the bound's overflow rule keeps the column next to the query from being
     excluded behind an infinite g.  Near ties at 1e-21 have subnormal float32 GEMM terms,
-    which only the bound's underflow term covers."""
+    which only the bound's underflow term covers.  Exactly the queries whose shifted values
+    may overflow float32 are ranked over the whole database."""
+    seen = recording_scans(monkeypatch)
     database, queries = knn_case(5, "float", 8, 300, 6, 300, False)
     if case == "column_at_1e30":
         database[:, 40] = queries[:, 0] = 1e30
@@ -257,19 +255,19 @@ def test_values_beyond_the_float32_range_rank_as_the_scan(case):
         database, queries = (a * 1e-21 for a in knn_case(8, "permuted", 16, 300, 6, 100, False))
     for g, w in zip(euclidean_knn_gt(database, queries, 5), loop_knn_gt(database, queries, 5)):
         assert np.array_equal(g, w)
+    assert fallbacks(seen) == {"column_at_1e30": 6, "column_at_1e20": 2, "query_at_2.5e38": 1}.get(case, 0)
 
 
 def test_offset_float32_clusters_need_no_fallback(monkeypatch):
     """The shift by the database mean keeps float32 rounding proportional to the clusters'
     spread, not to their common offset of 1000.  The bound is tight enough here that the
     candidates average under 1.01 k per query; a bound ten times looser gives 1.06 k."""
-    calls = counting_scan(monkeypatch)
-    seen = recording_candidates(monkeypatch)
+    seen = recording_scans(monkeypatch)
     x, _ = gaussian_clusters(64, 2100, 20, seed=6)
     x = (x + 1000.0).astype(np.float32)
     database, queries = x[:, :2000], x[:, 2000:]
     got = euclidean_knn_gt(database, queries, 20)
-    assert calls == []
+    assert fallbacks(seen) == 0
     assert len(seen) == 100 and sum(cand.size for cand in seen) < 1.05 * 20 * 100
     for g, w in zip(got, loop_knn_gt(database, queries, 20)):
         assert np.array_equal(g, w)
@@ -283,12 +281,12 @@ def test_overflowing_distances_raise():
 
 def test_an_overflowing_outlier_beyond_k_still_ranks_as_the_scan(monkeypatch):
     """The outlier's infinite norm sends every query to the scan; its infinite distance ranks last."""
-    calls = counting_scan(monkeypatch)
+    seen = recording_scans(monkeypatch)
     database, queries = knn_case(4, "float", 4, 60, 3, 60, False)
     database[:, 17] = 1e200
     with np.errstate(over="ignore"):
         got = euclidean_knn_gt(database, queries, 5)
         want = loop_knn_gt(database, queries, 5)
-    assert len(calls) == 3
+    assert fallbacks(seen) == 3
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
