@@ -1,4 +1,4 @@
-"""One SHA-256 digest over seeded training runs and a CLI pipeline.
+"""One SHA-256 digest over seeded training runs, a CLI pipeline and a library ground truth.
 
 A change that should leave results bit-identical must leave this digest as it
 is.  It covers both training modes at seeds 0-2 with input centring on and off
@@ -7,7 +7,9 @@ one CLI run of train -> encode -> gt -> eval, with Euclidean ground truth from
 fvecs files and from two bvecs databases that repeat points, so that distances
 tie exactly across the k-th neighbour (the second draws from only 10 points, so
 each tie runs to about 90 columns), label ground truth from CSV files with a
-label column, and mAP capped by --topk on both kinds of ground truth.  The
+label column, and mAP capped by --topk on both kinds of ground truth; and
+library-level Euclidean ground truth on a row-major float64 database that
+repeats points and near-ties them, a layout the CLI never passes.  The
 digest depends on the BLAS and the machine, so compare it only between
 checkouts run on one machine:
 
@@ -30,6 +32,7 @@ import tempfile
 import numpy as np
 
 from hashlearn import cli
+from hashlearn.evaluation import euclidean_knn_gt
 from hashlearn.network import SUPERVISED, UNSUPERVISED
 from hashlearn.toydata import gaussian_clusters
 from hashlearn.trainer import TrainConfig, train_supervised, train_unsupervised
@@ -132,6 +135,27 @@ def cli_digest():
     return h.hexdigest()
 
 
+def knn_digest():
+    """Digest of library-level Euclidean ground truth on a row-major float64 database, the
+    layout of the training workloads' data; the CLI passes only column-major file views.
+
+    The 1200 columns are drawn from 300 points, a quarter of them coordinate permutations of
+    one vector, and half the 100 queries are constant vectors, to which those permutations
+    are the nearest points and at equal distances in exact arithmetic: distances tie
+    exactly, and nearly, across the 20th neighbour, and the near ties fall as the float64
+    sums round.
+    """
+    rng = np.random.default_rng(9)
+    points, _ = gaussian_clusters(64, 300, 10, seed=9, center_scale=3.0)
+    near = rng.standard_normal(64)  # nearer the constant queries than any cluster
+    points[:, :75] = np.stack([rng.permutation(near) for _ in range(75)], axis=1)
+    database = np.ascontiguousarray(points[:, rng.integers(0, 300, 1200)])
+    queries = np.hstack([np.repeat(rng.standard_normal((1, 50)), 64, axis=0), 3.0 * rng.standard_normal((64, 50))])
+    h = hashlib.sha256()
+    _update(h, *euclidean_knn_gt(database, queries, 20))
+    return h.hexdigest()
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parts", action="store_true", help="also print the digest of each run")
@@ -139,7 +163,7 @@ def main(argv=None):
     total = hashlib.sha256()
     runs = [("train %s seed=%d center=%d" % key, functools.partial(train_digest, *key))
             for key in itertools.product((UNSUPERVISED, SUPERVISED), range(3), (False, True))]
-    for name, run in runs + [("cli train encode gt eval", cli_digest)]:
+    for name, run in runs + [("cli train encode gt eval", cli_digest), ("euclidean_knn_gt row-major", knn_digest)]:
         digest = run()
         total.update(digest.encode())
         if args.parts:

@@ -17,6 +17,7 @@ from hashlearn.network import _is_int, check_finite
 _F32 = np.finfo(np.float32)
 _BLOCK = 16384  # database codes per XOR block in _hamming_scan: a 128 KB buffer
 _CUT_SHARE = 4  # _ranked_prefix sorts only the codes inside the cut when they are at most n / 4
+_PIECE = 32768  # float64 differences per piece in _chain_distances: 256 KB
 _CHECK_CHUNK = 4096  # indices validate_ground_truth checks at once: 32 KB for each int64 temporary
 
 
@@ -103,23 +104,31 @@ def _hamming_scan(words, code_len):
     return distances
 
 
-def _scan_knn(database, q, k, cand=None):
-    """The k nearest to q of the database columns cand, or of all of them when cand is None,
-    ranked by float64 differences of the original values with a stable sort.
+def _layout(database):
+    """The memory order, "C" or "F", in which the database's float64 differences are laid out."""
+    return "F" if abs(database.strides[0]) < abs(database.strides[1]) else "C"
+
+
+def _sq_distances(columns, points, layout):
+    """Float64 squared distances from each column of `columns` to the matching column of
+    `points`, or to its only column, from differences of the original values.
 
     np.sum adds rows in sequence on row-major data but pairwise down each column on
-    column-major data, so the differences are laid out in the database's memory order:
-    a column's distance is then the same bits whichever columns are ranked with it.
-    database[:, cand] copies only those columns (take() would copy a strided database
-    whole first).
+    column-major data, so the differences are laid out in the database's memory order: a
+    column's distance is then the same bits as in the whole-database scan, among any two or
+    more columns.  A single column of row-major differences is column-major as well, and
+    would be added pairwise.
     """
-    layout = "F" if abs(database.strides[0]) < abs(database.strides[1]) else "C"
-    columns = database if cand is None else database[:, cand]
-    d = np.sum(np.subtract(columns, np.asarray(q, dtype=np.float64)[:, None], order=layout) ** 2, axis=0)
+    return np.sum(np.subtract(columns, points, dtype=np.float64, order=layout) ** 2, axis=0)
+
+
+def _scan_knn(database, q, k):
+    """The k nearest database columns to q, ranked by float64 distances with a stable sort."""
+    d = _sq_distances(database, np.asarray(q)[:, None], _layout(database))
     idx = np.argsort(d, kind="stable")[:k]
     if not math.isfinite(d[idx[-1]]):
         raise ValueError("squared distances overflow float64 among the %d nearest columns" % k)
-    return idx if cand is None else cand[idx]
+    return idx
 
 
 def _shifted_float32(a, shift):
@@ -135,9 +144,50 @@ def _shifted_float32(a, shift):
     return out, np.einsum("ij,ij->j", out, out, dtype=np.float64)
 
 
-def _candidates(g, bound, k):
-    """The columns whose g is at most the k-th smallest g plus 2 * bound, in index order."""
-    return np.flatnonzero(g <= np.partition(g, k - 1)[k - 1] + 2 * bound)
+def _float32_floor(x):
+    """The largest float32 at most each float64 x (NaN stays NaN), so that for every float32
+    g, g <= x exactly when g <= _float32_floor(x), and the comparison runs in float32."""
+    with np.errstate(over="ignore"):
+        y = x.astype(np.float32)
+        return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
+
+
+def _chain_distances(database, queries, cols, rows):
+    """Float64 squared distances from the database columns cols to the query columns rows.
+
+    They are computed in pieces of at most _PIECE differences, and of two columns or more
+    so that each is summed as in the scan (see _sq_distances).
+    """
+    layout, step = _layout(database), max(2, _PIECE // database.shape[0])
+    edges = [*range(0, cols.size - 1, step), cols.size]  # the last piece has two columns or more
+    return np.concatenate([_sq_distances(database[:, cols[a:b]], queries[:, rows[a:b]], layout)
+                           for a, b in zip(edges, edges[1:])])
+
+
+def _ranked_candidates(database, queries, g, flat, gaps):
+    """The candidates of the query columns, given as flat indices into their rows of g, as
+    database columns in the scan's order, query by query.
+
+    The candidates are sorted by (query, g) on one int64 key: the query above g's float32
+    bits, the bits of a negative g flipped so that the integers order as the floats do.
+    A chain is a run of them in which each g is at most its query's gap above the one
+    before, and only chain members get float64 distances; candidates with equal g are in
+    one chain, so the sort need not be stable.  Chains rank in their order by g, so each
+    query's members, taken in index order, are then sorted stably by distance.
+    """
+    row, col = np.divmod(flat, database.shape[1])
+    bits = g.ravel()[flat].view(np.int32)
+    order = np.argsort((row << 32) | (bits ^ ((bits >> 31) & 0x7FFFFFFF)).astype(np.int64) + 2**31)
+    g = g.ravel()[flat[order]]  # the key sorts by row first and row is sorted: row[order] is row
+    linked = np.zeros(g.size + 1, dtype=bool)  # linked[i]: candidate i is in the chain of i - 1
+    linked[1:-1] = (np.subtract(g[1:], g[:-1], dtype=np.float64) <= gaps[row[1:]]) & (row[1:] == row[:-1])
+    members = np.flatnonzero(linked[:-1] | linked[1:])
+    ranked = col[order]
+    if members.size:
+        chained = np.sort(order[members])
+        cols, rows = col[chained], row[chained]
+        ranked[members] = cols[np.lexsort((_chain_distances(database, queries, cols, rows), rows))]
+    return ranked
 
 
 def _certified_block(database, shifted, sq_norms, radius, block, shift, k):
@@ -163,21 +213,50 @@ def _certified_block(database, shifted, sq_norms, radius, block, shift, k):
     Let T be the k-th smallest g.  A column with g > T + 2 beta then has a scan distance
     above T + beta + ||q - s||^2, which is at least the scan distance of each of the k or
     more columns with g <= T, so it is not among the scan's first k.  The candidates, the
-    columns with g <= T + 2 beta, therefore hold the scan's first k, and _scan_knn ranks
-    them in the scan's order, however many tie.  Only where r^2 >= max / 2, so that a
+    columns with g <= T + 2 beta, therefore hold the scan's first k.
+
+    Order.  In the same way, of two candidates with g' > g + 2 beta, the one with g' has
+    the larger scan distance.  So sorted by g, the candidates fall into chains, runs in
+    which each g is within 2 beta of the one before, and every chain ranks in the scan
+    wholly after the chains before it: _ranked_candidates need only order each chain by
+    its float64 distances, and ties there by index.  Every candidate past the k-th place
+    is in the k-th place's chain, so no chain is cut off by taking the first k.
+
+    The block's candidates come from one comparison of g with the thresholds, rounded
+    down to float32, and one flatnonzero; they are ranked in groups of queries that hold
+    at most n of them together, or of one query.  Only where r^2 >= max / 2, so that a
     float32 value may overflow, does _scan_knn rank the whole database instead; that
     includes a column or query whose float32 cast overflowed (r = inf).
     """
-    dim = database.shape[0]
+    dim, n = database.shape
     scaled, q_sq = _shifted_float32(block, shift)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled *= -2.0
         approx = scaled.T @ shifted
         approx += sq_norms
     reach = (radius + np.sqrt(q_sq)) ** 2
-    bounds = (dim + 8) * (_F32.eps * reach + _F32.smallest_subnormal)
-    return [_scan_knn(database, q, k, _candidates(g, bound, k) if fits else None)
-            for q, g, bound, fits in zip(block.T, approx, bounds, reach < _F32.max / 2)]
+    gaps = 2 * (dim + 8) * (_F32.eps * reach + _F32.smallest_subnormal)
+    fits = reach < _F32.max / 2
+    limits = np.full(len(approx), np.nan)  # no candidates for a query that does not fit
+    part = np.empty(n, dtype=np.float32)  # np.partition would copy each row; this is reused
+    for i in np.flatnonzero(fits):
+        part[:] = approx[i]
+        part.partition(k - 1)
+        limits[i] = part[k - 1] + gaps[i]
+    flat = np.flatnonzero(approx <= _float32_floor(limits)[:, None])
+    bounds = np.searchsorted(flat, np.arange(len(approx) + 1) * n)  # query i's are flat[bounds[i]:bounds[i + 1]]
+    ranked = np.empty((len(approx), k), dtype=np.int64)
+    start = 0
+    while start < len(approx):  # groups of queries with at most n candidates, or of one query
+        stop = max(start + 1, int(np.searchsorted(bounds, bounds[start] + n, side="right")) - 1)
+        group, lo = slice(start, stop), bounds[start]
+        cols = _ranked_candidates(database, block[:, group], approx[group], flat[lo:bounds[stop]] - start * n,
+                                  gaps[group])
+        ranked[group][fits[group]] = cols[(bounds[group] - lo)[fits[group], None] + np.arange(k)]
+        start = stop
+    for i in np.flatnonzero(~fits):
+        ranked[i] = _scan_knn(database, block[:, i], k)
+    return list(ranked)
 
 
 def euclidean_knn_gt(database, queries, k):
@@ -187,13 +266,14 @@ def euclidean_knn_gt(database, queries, k):
     arrays, one per query.  The inputs keep their element type (float64,
     float32, uint8, ...); no float64 copy of the database is made.  Candidates
     come from one float32 GEMM per block of D // 2 queries, on the database and
-    queries shifted by the database mean, and are ranked exactly in float64
-    from the original values: only the columns that the float32 rounding bound
-    cannot rule out, about k per query on well-separated data and every tied
-    column across the k-th place.  The result is always the exact float64
-    scan's; the scan itself ranks a query only where the bound cannot be formed:
-    when its shifted values may overflow float32, and for every query when
-    D > 2^22.
+    queries shifted by the database mean: the columns that the float32 rounding
+    bound cannot rule out, about k per query on well-separated data and every
+    tied column across the k-th place.  Sorted by their float32 distances, they
+    need exact float64 distances, from the original values, only in runs of
+    near ties that the bound cannot order: a few columns per query on
+    well-separated data.  The result is always the exact float64 scan's; the
+    scan itself ranks a query only where the bound cannot be formed: when its
+    shifted values may overflow float32, and for every query when D > 2^22.
     """
     database = np.asarray(database)
     queries = np.asarray(queries)
@@ -371,7 +451,7 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
     distances = _hamming_scan(_words(db_codes), code_len)
     # buffers every code reuses; inside marks the codes within the last radius counted,
     # rel the current list's relevant codes, and part takes the distances inside the cut
-    # that the top_k cut is selected from
+    # that the top_k cut is counted from
     inside = np.empty(n, dtype=bool)
     rel = np.zeros(n, dtype=bool)
     part = None if top_k is None else np.empty(n, dtype=np.min_scalar_type(code_len))
@@ -399,9 +479,9 @@ def _one_pass(db_codes, query_codes, gt, top_k=None, radii=(), with_ap=True):
             # the cut is a code's distance, so with n_cut == top_k no smaller radius holds top_k codes
             if top_k is not None and n_cut > top_k:
                 # the top_k-th smallest distance, the smallest radius with top_k codes within it,
-                # is among the n_cut distances inside the cut
-                np.compress(inside, d, out=part[:n_cut]).partition(top_k - 1)
-                cut = int(part[top_k - 1])
+                # from a cumulative count of the n_cut distances inside the cut
+                within = np.add.accumulate(np.bincount(np.compress(inside, d, out=part[:n_cut])))
+                cut = int(np.searchsorted(within, top_k))
                 n_cut = _n_within(d, cut, inside)
             order = _ranked_prefix(d, inside, n_cut, n_cut if top_k is None else min(n_cut, top_k))
         for gt_q, queries, rel_within in lists:

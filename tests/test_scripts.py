@@ -54,5 +54,5 @@ def test_bit_identity_repeats_its_digest(capsys):
         outputs.append(capsys.readouterr().out.splitlines())
     plain, parts = outputs
     assert len(plain) == 1 and len(plain[0]) == 64 and int(plain[0], 16) >= 0
-    assert len(parts) == 14 and parts[-1] == plain[0]
-    assert len({line.split()[0] for line in parts}) == 14
+    assert len(parts) == 15 and parts[-1] == plain[0]
+    assert len({line.split()[0] for line in parts}) == 15
