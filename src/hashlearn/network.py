@@ -180,18 +180,6 @@ def _is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _is_real(v):
-    return _is_int(v) or isinstance(v, (float, np.floating))
-
-
-def check_penalties(hyper):
-    """Reject a penalty weight lambda1-lambda4 of hyper that is not a finite number >= 0, naming it."""
-    for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-        v = getattr(hyper, name)
-        if not _is_real(v) or not np.isfinite(v) or v < 0:
-            raise ValueError("%s must be a finite number >= 0, got %r" % (name, v))
-
-
 def check_finite(name, a):
     """Reject NaN/Inf, naming the argument and the first bad (row, column)."""
     idx = first_nonfinite(a)

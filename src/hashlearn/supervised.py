@@ -11,11 +11,7 @@ import numpy as np
 
 from hashlearn.linalg import frobenius_sq
 from hashlearn.network import SUPERVISED, Workspace, _forward, sgn, split_flat, through_activation
-from hashlearn.unsupervised import (GradientSet, UnsupHyper, _backprop, _check_objective_inputs, _code_layer_terms,
-                                    _weight_decay)
-
-
-SupHyper = UnsupHyper  # both objectives take the same penalty weights and sizes
+from hashlearn.unsupervised import GradientSet, _backprop, _check_objective_inputs, _code_layer_terms, _weight_decay
 
 
 @dataclass(frozen=True)
@@ -24,14 +20,6 @@ class PairwiseLabels:
 
     indicator: np.ndarray       # (m, C) one-hot class of each subset sample
     sample_indices: np.ndarray  # positions of the subset in the original label array
-
-
-def pairwise_matrix(labels):
-    """+1/-1 same-class matrix of a label vector."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise ValueError("labels must be a non-empty 1-d array")
-    return np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
 
 
 def _one_hot(labels):
@@ -61,36 +49,34 @@ def build_pairwise(labels, n_per_class, seed):
     return PairwiseLabels(_one_hot(labels[sel]), sel)
 
 
-def _indicator_of(s, m):
-    """Class indicator Y with 2 Y Y^T - 1 1^T == s; rejects any s that is not a same-class matrix."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (m, m):
-        raise ValueError("similarity matrix has shape %s, expected (%d, %d)" % (s.shape, m, m))
-    classes = np.argmax(s == 1.0, axis=1)  # each row's first same-class column names its class
-    if not np.array_equal(pairwise_matrix(classes), s):
-        raise ValueError("similarity matrix must be the +1/-1 same-class matrix of some labelling")
-    return _one_hot(classes)
+def _indicator_of(labels, m):
+    """The (m, C) one-hot class indicator of m class labels."""
+    labels = np.asarray(labels)
+    if labels.shape != (m,):
+        raise ValueError("labels have shape %s, expected (%d,)" % (labels.shape, m))
+    return _one_hot(labels)
 
 
-def value_and_grad(params, x, b, y, hyper, ws=None):
+def value_and_grad(params, x, b, y, config, ws=None):
     """Pairwise objective from the (m, C) class indicator y and its gradient callable, as
     unsupervised.value_and_grad returns them.  Nothing is validated: loss() and grad() are the
     checked entry points."""
-    m = hyper.n_samples
+    m = x.shape[1]
     n = params.n_layers
     if ws is None:
         ws = Workspace(params.layer_sizes, SUPERVISED, m)
     hs = _forward(params, x, n, ws.acts)
     h = hs[-1]
+    code_len = h.shape[0]
     # ||H^T H / L - S||^2 and its gradient through S = 2 Y Y^T - 1 1^T: no (m, m) array
     gram = h @ h.T
-    hht = gram / hyper.code_len
+    hht = gram / code_len
     hy = h @ y
     h1 = h.sum(axis=1)
-    fit_sq = frobenius_sq(hht) - (2.0 / hyper.code_len) * (2.0 * frobenius_sq(hy) - h1 @ h1) + m * m
-    j_code, pull = _code_layer_terms(h, b, gram, h1, hyper, ws)
+    fit_sq = frobenius_sq(hht) - (2.0 / code_len) * (2.0 * frobenius_sq(hy) - h1 @ h1) + m * m
+    j_code, pull = _code_layer_terms(h, b, gram, h1, config, ws)
     j = fit_sq / (2.0 * m)
-    j += _weight_decay(params, hyper, ws)
+    j += _weight_decay(params, config, ws)
     j += j_code
 
     def gradient():
@@ -99,26 +85,26 @@ def value_and_grad(params, x, b, y, hyper, ws=None):
         fit = np.matmul(hht, h, out=ws.tmp)
         fit -= np.multiply(np.matmul(hy, y.T, out=ws.sq), 2.0, out=ws.sq)
         fit += h1[:, None]
-        fit *= 2.0 / (m * hyper.code_len)
+        fit *= 2.0 / (m * code_len)
         g += fit
         delta = through_activation(params.activations[n - 2], g, h, ws.deriv[-1])
-        return _backprop(params, hs, delta, n - 2, hyper.lambda1, ws)[0]
+        return _backprop(params, hs, delta, n - 2, config.lambda1, ws)[0]
     return j, gradient
 
 
-def loss(params, x, b, s, hyper):
-    """Pairwise objective at fixed codes b and same-class matrix s."""
-    x, b = _check_objective_inputs(params, x, b, hyper, SUPERVISED)
-    j = value_and_grad(params, x, b, _indicator_of(s, hyper.n_samples), hyper)[0]
+def loss(params, x, b, labels, config):
+    """Pairwise objective at fixed codes b and the class labels of the m samples."""
+    x, b = _check_objective_inputs(params, x, b, config)
+    j = value_and_grad(params, x, b, _indicator_of(labels, x.shape[1]), config)[0]
     if not np.isfinite(j):
         raise ValueError("objective is non-finite")
     return j
 
 
-def grad(params, x, b, s, hyper):
+def grad(params, x, b, labels, config):
     """Gradient of loss() for every weight and bias block."""
-    x, b = _check_objective_inputs(params, x, b, hyper, SUPERVISED)
-    g = value_and_grad(params, x, b, _indicator_of(s, hyper.n_samples), hyper)[1]()
+    x, b = _check_objective_inputs(params, x, b, config)
+    g = value_and_grad(params, x, b, _indicator_of(labels, x.shape[1]), config)[1]()
     return GradientSet(*split_flat(g, params.layer_sizes))
 
 

@@ -16,8 +16,8 @@ from hashlearn import supervised, unsupervised
 from hashlearn.evaluation import BinaryCodes, _bytes_per_code
 from hashlearn.initialization import init_network, itq_init
 from hashlearn.lbfgs import minimize
-from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, Workspace, _is_int, check_finite,
-                               check_penalties, code_layer, forward, split_flat)
+from hashlearn.network import (SUPERVISED, UNSUPERVISED, NetworkParams, Workspace, _is_int, check_finite, code_layer,
+                               forward, split_flat)
 
 UNSUP_LAMBDAS = (1e-5, 5e-2, 1e-2, 1e-6)
 SUP_LAMBDAS = (1e-3, 5.0, 1.0, 1e-4)
@@ -105,13 +105,18 @@ class TrainConfig:
         if not isinstance(self.center_inputs, (bool, np.bool_)):
             raise ValueError("center_inputs must be True or False, got %r" % (self.center_inputs,))
         code_layer(self.mode, len(sizes))  # rejects an unknown mode or too shallow a network
-        check_penalties(self)
+        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
+            v = getattr(self, name)
+            if not (_is_int(v) or isinstance(v, (float, np.floating))) or not np.isfinite(v) or v < 0:
+                raise ValueError("%s must be a finite number >= 0, got %r" % (name, v))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.lbfgs_initial < 0 or self.lbfgs_subsequent < 0:
             raise ValueError("lbfgs_initial and lbfgs_subsequent must be >= 0")
         if self.itq_iters < 0:
             raise ValueError("itq_iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.mode == UNSUPERVISED and sizes[-1] != sizes[0]:
             raise ValueError("output width %d must match input width %d" % (sizes[-1], sizes[0]))
         if self.mode == SUPERVISED and self.n_per_class < 1:
@@ -208,8 +213,6 @@ def _train(x, labels, config, mode):
     if config.center_inputs:
         mu = x.mean(axis=1)
         x = x - mu[:, None]
-    hyper = unsupervised.UnsupHyper(config.lambda1, config.lambda2, config.lambda3,
-                                    config.lambda4, config.code_len, x.shape[1])
     b = itq_init(x, config.code_len, config.itq_iters, derive_seed(config.seed, "itq"))
     params = init_network(x, config.layer_sizes, mode)
     layer = code_layer(mode, params.n_layers)
@@ -219,13 +222,13 @@ def _train(x, labels, config, mode):
         if t:
             h_code = forward(params, x, upto=layer)[-1]
             if mode == UNSUPERVISED:
-                b = unsupervised.b_step(params, x, h_code, b, hyper)
+                b = unsupervised.b_step(params, x, h_code, b, config)
             else:
                 b = supervised.b_step(h_code)
         if mode == UNSUPERVISED:
-            fun = _make_objective(params, lambda q: unsupervised.value_and_grad(q, x, b, hyper, ws))
+            fun = _make_objective(params, lambda q: unsupervised.value_and_grad(q, x, b, config, ws))
         else:
-            fun = _make_objective(params, lambda q: supervised.value_and_grad(q, x, b, pair.indicator, hyper, ws))
+            fun = _make_objective(params, lambda q: supervised.value_and_grad(q, x, b, pair.indicator, config, ws))
         res = minimize(fun, _flatten(params), config.lbfgs_subsequent if t else config.lbfgs_initial)
         params = _rebuild(res.x, params)
         loss_trace.append(res.history[-1])

@@ -20,7 +20,7 @@ from hashlearn import lbfgs
 from hashlearn.evaluation import BinaryCodes, EvalReport
 from hashlearn.initialization import init_network
 from hashlearn.network import LINEAR, SIGMOID, UNSUPERVISED, NetworkParams, Workspace, code_layer, forward, sgn
-from hashlearn.trainer import SUP_LAMBDAS, UNSUP_LAMBDAS, _flatten, _make_objective
+from hashlearn.trainer import TrainConfig, _flatten, _make_objective
 
 
 def random_params(sizes, acts, mode, rng, scale=0.5):
@@ -85,6 +85,13 @@ def naive_unsup_loss(params, x, b, lam1, lam2, lam3, lam4):
     rowsums = h.sum(axis=1)
     j_val += (lam4 / (2.0 * m)) * float(np.sum(rowsums ** 2))
     return j_val
+
+
+def pairwise_matrix(labels):
+    """The dense +1/-1 same-class matrix S of a label vector, the input of the supervised
+    oracles; the library works from the (m, C) class indicator instead."""
+    labels = np.asarray(labels)
+    return np.where(labels[:, None] == labels[None, :], 1.0, -1.0)
 
 
 def naive_sup_loss(params, x, b, s, lam1, lam2, lam3, lam4):
@@ -552,11 +559,10 @@ def objective_instance(mode, seed=0):
     params = init_network(x, sizes, mode)
     b = np.where(rng.standard_normal((code_len, m)) >= 0, 1.0, -1.0)
     ws = Workspace(sizes, mode, m)
+    config = TrainConfig.defaults(mode, d, code_len, hidden=(48, 32))
     if mode == UNSUPERVISED:
-        hyper = unsup.UnsupHyper(*UNSUP_LAMBDAS, code_len=code_len, n_samples=m)
-        fun = _make_objective(params, lambda q: unsup.value_and_grad(q, x, b, hyper, ws))
+        fun = _make_objective(params, lambda q: unsup.value_and_grad(q, x, b, config, ws))
     else:
-        hyper = sup.SupHyper(*SUP_LAMBDAS, code_len=code_len, n_samples=m)
         y = np.eye(10)[rng.integers(0, 10, m)]
-        fun = _make_objective(params, lambda q: sup.value_and_grad(q, x, b, y, hyper, ws))
+        fun = _make_objective(params, lambda q: sup.value_and_grad(q, x, b, y, config, ws))
     return fun, _flatten(params), params, x, ws

@@ -28,8 +28,7 @@ from hashlearn.initialization import itq_refine
 from hashlearn.linalg import covariance, top_eigvecs
 from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, sgn
 from hashlearn.toydata import gaussian_clusters
-from hashlearn.trainer import (SUP_LAMBDAS, UNSUP_LAMBDAS, TrainConfig, encode, train_supervised,
-                               train_unsupervised)
+from hashlearn.trainer import TrainConfig, encode, train_supervised, train_unsupervised
 
 from helpers import central_difference, max_rel_error, naive_hamming, random_params
 from helpers import labelled_with_nuisance
@@ -74,7 +73,7 @@ def test_c01_unsup_gradient_matches_finite_differences():
         params = random_params(sizes, acts, UNSUPERVISED, rng)
         x = rng.standard_normal((d, m))
         b = np.where(rng.standard_normal((code_len, m)) >= 0, 1.0, -1.0)
-        hyper = unsup.UnsupHyper(*UNSUP_LAMBDAS, code_len=code_len, n_samples=m)
+        hyper = TrainConfig.defaults(UNSUPERVISED, d, code_len, hidden=hidden)
 
         def f(vec):
             return unsup.loss(_unpack_into(params, vec), x, b, hyper)
@@ -103,13 +102,13 @@ def test_c02_sup_gradient_matches_finite_differences():
         params = random_params(sizes, acts, SUPERVISED, rng)
         x = rng.standard_normal((d, m))
         b = np.where(rng.standard_normal((code_len, m)) >= 0, 1.0, -1.0)
-        s = sup.pairwise_matrix(rng.integers(0, 3, size=m))
-        hyper = sup.SupHyper(*SUP_LAMBDAS, code_len=code_len, n_samples=m)
+        labels = rng.integers(0, 3, size=m)
+        hyper = TrainConfig.defaults(SUPERVISED, d, code_len, hidden=hidden)
 
         def f(vec):
-            return sup.loss(_unpack_into(params, vec), x, b, s, hyper)
+            return sup.loss(_unpack_into(params, vec), x, b, labels, hyper)
 
-        g = sup.grad(params, x, b, s, hyper)
+        g = sup.grad(params, x, b, labels, hyper)
         analytic = np.concatenate([a.ravel() for a in g.d_weights + g.d_biases])
         worst = max(worst, max_rel_error(analytic, central_difference(f, _pack(params), h=1e-5)))
     elapsed = time.perf_counter() - start
@@ -131,7 +130,7 @@ def test_c03_discrete_code_rows_globally_optimal():
         x = rng.standard_normal((d, m))
         h = rng.standard_normal((code_len, m))
         b0 = np.where(rng.standard_normal((code_len, m)) >= 0, 1.0, -1.0)
-        hyper = unsup.UnsupHyper(*UNSUP_LAMBDAS, code_len=code_len, n_samples=m)
+        hyper = TrainConfig.defaults(UNSUPERVISED, d, code_len, hidden=sizes[1:-2])
         trace = []
         b = unsup.b_step(params, x, h, b0, hyper, objective_trace=trace)
         for prev, cur in zip(trace, trace[1:]):

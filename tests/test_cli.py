@@ -266,6 +266,16 @@ def test_config_file_unknown_key(tmp_path, clusters, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_negative_seed_names_the_field(tmp_path, clusters, capsys):
+    _, _, train_csv = clusters
+    model = tmp_path / "m.dhnn"
+    rc = main(["train", "--data", train_csv, "--labels", "last", "--bits", "4", "--layers", "5,4",
+               "--seed", "-1", "--out", str(model)])
+    assert rc == 1
+    assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_encode_dimension_mismatch(tmp_path, clusters, capsys):
     x, labels, train_csv = clusters
     model = str(tmp_path / "m.dhnn")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, NetworkParams
-from hashlearn.supervised import (PairwiseLabels, SupHyper, b_step, build_pairwise, grad, loss,
-                                  pairwise_matrix)
+from hashlearn.network import LINEAR, SIGMOID, SUPERVISED, UNSUPERVISED, NetworkParams
+from hashlearn.supervised import PairwiseLabels, _one_hot, b_step, build_pairwise, grad, loss
+from hashlearn.trainer import TrainConfig
 
-from helpers import central_difference, max_rel_error, naive_frobenius_sq, naive_sup_loss, random_params
+from helpers import (central_difference, max_rel_error, naive_frobenius_sq, naive_sup_loss, pairwise_matrix,
+                     random_params)
 
 LAMBDAS = (1e-3, 5.0, 1.0, 1e-4)
+
+
+def config_for(sizes, lambdas=LAMBDAS):
+    """The settings of a supervised network with these layer sizes and penalty weights."""
+    return TrainConfig(SUPERVISED, list(sizes), *lambdas, max_iter=1)
 
 
 def make_instance(seed, sizes=(5, 4, 3), m=4, lambdas=LAMBDAS):
@@ -20,9 +27,8 @@ def make_instance(seed, sizes=(5, 4, 3), m=4, lambdas=LAMBDAS):
     params = random_params(sizes, acts, SUPERVISED, rng)
     x = rng.standard_normal((sizes[0], m))
     b = np.where(rng.standard_normal((sizes[-1], m)) >= 0, 1.0, -1.0)
-    s = pairwise_matrix(rng.integers(0, 2, size=m))
-    hyper = SupHyper(*lambdas, code_len=sizes[-1], n_samples=m)
-    return params, x, b, s, hyper, rng
+    labels = rng.integers(0, 2, size=m)
+    return params, x, b, labels, config_for(sizes, lambdas), rng
 
 
 def pack(params):
@@ -86,7 +92,10 @@ def test_build_pairwise_errors():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=12))
 def test_pairwise_matrix_structure(labels):
-    s = pairwise_matrix(labels)
+    # the S = 2 Y Y^T - 1 1^T that the objective's class indicator stands for
+    y = _one_hot(labels)
+    s = 2.0 * y @ y.T - 1.0
+    assert np.array_equal(s, pairwise_matrix(labels))
     assert np.array_equal(s, s.T)
     assert np.array_equal(np.diag(s), np.ones(len(labels)))
     assert np.all(np.abs(s) == 1.0)
@@ -96,37 +105,34 @@ def test_loss_perfect_codes_zero():
     # identity network: code activations equal the +1/-1 inputs, and the scaled
     # inner products reproduce S exactly
     x = np.array([[1.0, -1.0], [1.0, -1.0]])
-    s = np.array([[1.0, -1.0], [-1.0, 1.0]])
     params = NetworkParams([2, 2], [np.eye(2)], [np.zeros(2)], [LINEAR], SUPERVISED)
-    hyper = SupHyper(0.0, 7.0, 0.0, 0.0, code_len=2, n_samples=2)
-    assert loss(params, x, x.copy(), s, hyper) == 0.0
+    assert loss(params, x, x.copy(), [0, 1], config_for([2, 2], (0.0, 7.0, 0.0, 0.0))) == 0.0
 
 
 def test_loss_zero_activations_is_half_sample_count():
     m = 4
     x = np.zeros((3, m))
     params = NetworkParams([3, 2], [np.zeros((2, 3))], [np.zeros(2)], [LINEAR], SUPERVISED)
-    s = pairwise_matrix([0, 0, 1, 1])
     b = np.ones((2, m))
-    hyper = SupHyper(0.0, 0.0, 0.0, 0.0, code_len=2, n_samples=m)
-    assert loss(params, x, b, s, hyper) == pytest.approx(m / 2.0, rel=1e-14)
+    config = config_for([3, 2], (0.0, 0.0, 0.0, 0.0))
+    assert loss(params, x, b, [0, 0, 1, 1], config) == pytest.approx(m / 2.0, rel=1e-14)
 
 
 def test_loss_matches_scalar_oracle():
-    params, x, b, s, hyper, _ = make_instance(1)
-    expected = naive_sup_loss(params, x, b, s, *LAMBDAS)
-    assert loss(params, x, b, s, hyper) == pytest.approx(expected, rel=1e-10)
+    params, x, b, labels, config, _ = make_instance(1)
+    expected = naive_sup_loss(params, x, b, pairwise_matrix(labels), *LAMBDAS)
+    assert loss(params, x, b, labels, config) == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("seed,sizes,m", [(2, (5, 4, 3), 4), (3, (8, 6, 4, 3), 10),
                                           (4, (4, 2), 6)])
 def test_grad_matches_finite_differences(seed, sizes, m):
-    params, x, b, s, hyper, _ = make_instance(seed, sizes=sizes, m=m)
+    params, x, b, labels, config, _ = make_instance(seed, sizes=sizes, m=m)
 
     def f(vec):
-        return loss(unpack_into(params, vec), x, b, s, hyper)
+        return loss(unpack_into(params, vec), x, b, labels, config)
 
-    g = grad(params, x, b, s, hyper)
+    g = grad(params, x, b, labels, config)
     analytic = np.concatenate([a.ravel() for a in g.d_weights + g.d_biases])
     fd = central_difference(f, pack(params), h=1e-5)
     assert max_rel_error(analytic, fd) < 1e-5
@@ -134,19 +140,17 @@ def test_grad_matches_finite_differences(seed, sizes, m):
 
 def test_grad_zero_pairwise_residual_reduces_to_weight_decay():
     x = np.array([[1.0, -1.0], [1.0, -1.0]])
-    s = np.array([[1.0, -1.0], [-1.0, 1.0]])
     params = NetworkParams([2, 2], [np.eye(2)], [np.zeros(2)], [LINEAR], SUPERVISED)
-    hyper = SupHyper(0.5, 0.0, 0.0, 0.0, code_len=2, n_samples=2)
-    g = grad(params, x, x.copy(), s, hyper)
+    g = grad(params, x, x.copy(), [0, 1], config_for([2, 2], (0.5, 0.0, 0.0, 0.0)))
     assert np.array_equal(g.d_weights[0], 0.5 * np.eye(2))
     assert np.array_equal(g.d_biases[0], np.zeros(2))
 
 
 def test_grad_sample_permutation_leaves_bias_gradient_unchanged():
-    params, x, b, s, hyper, rng = make_instance(5, m=6)
+    params, x, b, labels, config, rng = make_instance(5, m=6)
     perm = rng.permutation(6)
-    g_a = grad(params, x, b, s, hyper)
-    g_b = grad(params, x[:, perm], b[:, perm], s[np.ix_(perm, perm)], hyper)
+    g_a = grad(params, x, b, labels, config)
+    g_b = grad(params, x[:, perm], b[:, perm], labels[perm], config)
     for da, db in zip(g_a.d_biases, g_b.d_biases):
         assert np.allclose(da, db, rtol=1e-10, atol=1e-12)
     for da, db in zip(g_a.d_weights, g_b.d_weights):
@@ -168,32 +172,25 @@ def test_b_step_is_exhaustive_minimizer():
     assert naive_frobenius_sq(h - out) == pytest.approx(best, rel=1e-12)
 
 
-def test_similarity_validation_errors():
-    params, x, b, s, hyper, _ = make_instance(7)
-    bad = s.copy()
-    bad[0, 1] = 0.0
+def test_validation_errors():
+    params, x, b, labels, config, _ = make_instance(7)
     with pytest.raises(ValueError):
-        loss(params, x, b, bad, hyper)
-    asym = s.copy()
-    asym[0, 1] = -asym[1, 0]
-    with pytest.raises(ValueError):
-        loss(params, x, b, asym, hyper)
-    with pytest.raises(ValueError):
-        loss(params, x, b, s[:2, :2], hyper)
-    with pytest.raises(ValueError):
-        grad(params, x[:, :2], b, s, hyper)
-    with pytest.raises(ValueError):
-        SupHyper(0.0, -1.0, 0.0, 0.0, 2, 2).validate()
-
-
-def test_similarity_must_be_a_same_class_matrix():
-    # +1/-1 and symmetric, but 0 ~ 1 and 1 ~ 2 while 0 !~ 2: no labelling gives this S
-    params, x, b, _, hyper, _ = make_instance(8, m=3)
-    s = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]])
-    with pytest.raises(ValueError, match="same-class"):
-        loss(params, x, b, s, hyper)
-    with pytest.raises(ValueError, match="same-class"):
-        grad(params, x, b, s, hyper)
+        grad(params, x[:, :2], b, labels, config)          # sample count mismatch
+    with pytest.raises(ValueError, match="lambda2"):
+        loss(params, x, b, labels, dataclasses.replace(config, lambda2=-1.0))
+    for bad in (labels[:2], np.append(labels, 0), labels[:, None]):
+        for fn in (loss, grad):
+            with pytest.raises(ValueError, match=r"labels have shape \(\d+,( 1)?\), expected \(4,\)"):
+                fn(params, x, b, bad, config)
+    # the network is (5, 4, 3); a config for any other mode or layer sizes is named with it
+    cases = ((dataclasses.replace(config, mode=UNSUPERVISED, layer_sizes=[5, 4, 3, 5]),
+              r"'unsupervised' and layer_sizes \[5, 4, 3, 5\]"),
+             (config_for((5, 6, 3)), r"'supervised' and layer_sizes \[5, 6, 3\]"))
+    for other, says in cases:
+        message = "config has mode " + says + r", the network 'supervised' and \[5, 4, 3\]"
+        for fn in (loss, grad):
+            with pytest.raises(ValueError, match=message):
+                fn(params, x, b, labels, other)
 
 
 def test_pairwise_labels_container():

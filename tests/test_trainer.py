@@ -86,10 +86,11 @@ def test_config_validation_errors():
     cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(0,))
     with pytest.raises(ValueError, match="layer_sizes"):
         cfg.validate()
-    for bad in (-1e-3, np.nan, np.inf, "x", None, [1], True, np.True_, 1j):
-        cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,), lambda3=bad)
-        with pytest.raises(ValueError, match="lambda3"):
-            cfg.validate()
+    for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
+        for bad in (-1e-3, np.nan, np.inf, "x", None, [1], True, np.True_, 1j):
+            cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,), **{name: bad})
+            with pytest.raises(ValueError, match=name):
+                cfg.validate()
     cfg = TrainConfig.defaults(UNSUPERVISED, 32, 8, hidden=(12,), lbfgs_subsequent=-1)
     with pytest.raises(ValueError, match="lbfgs_subsequent"):
         cfg.validate()
@@ -99,6 +100,10 @@ def test_config_validation_errors():
     cfg = TrainConfig.defaults(SUPERVISED, 32, 8, hidden=(12,), n_per_class=0)
     with pytest.raises(ValueError):
         cfg.validate()
+    for bad in (-1, np.int64(-2)):
+        cfg = TrainConfig.defaults(UNSUPERVISED, 32, 8, hidden=(12,), seed=bad)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            cfg.validate()
     # non-integer counts and seed, and a non-boolean center_inputs, fail here rather than
     # deep inside training (or, for seed and center_inputs, not at all)
     for name in ("max_iter", "itq_iters", "lbfgs_initial", "lbfgs_subsequent", "n_per_class", "seed"):
@@ -338,8 +343,8 @@ def test_overflowing_objective_maps_to_infinity_quietly():
     params = random_params([3, 2, 2, 3], [SIGMOID, LINEAR, LINEAR], UNSUPERVISED, np.random.default_rng(1))
     x = np.random.default_rng(2).standard_normal((3, 4))
     b = np.ones((2, 4))
-    hyper = unsup.UnsupHyper(*UNSUP_LAMBDAS, code_len=2, n_samples=4)
-    fun = _make_objective(params, lambda p: unsup.value_and_grad(p, x, b, hyper))
+    config = TrainConfig(UNSUPERVISED, [3, 2, 2, 3], *UNSUP_LAMBDAS, max_iter=1)
+    fun = _make_objective(params, lambda p: unsup.value_and_grad(p, x, b, config))
     vec = _flatten(params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
